@@ -10,7 +10,6 @@ of the above.
 """
 
 from .coincidence import (
-    CoincidenceTable,
     PackSpec,
     coincidence_probability,
     compositions,
@@ -19,6 +18,7 @@ from .coincidence import (
     count_recursive,
     distinct_pack_count,
     endpoint_probability,
+    recursive_columns,
     two_color_probability,
 )
 from .exactmath import (
@@ -26,7 +26,6 @@ from .exactmath import (
     binomial,
     decimal_string,
     factorial,
-    integer_pow,
     multinomial,
     significant_string,
 )
@@ -39,27 +38,14 @@ from .firstmatch import (
     SeriesExpectation,
     endpoint_spectrum,
     exact_pmf_and_expectation,
-    exact_survival,
     mixture_match_probability,
     pairwise_expectation,
     pairwise_pmf,
-)
-from .montecarlo import (
-    RNG_ALGORITHM,
-    FirstMatchReport,
-    TrialReport,
-    WalkSample,
-    endpoint_histogram,
-    first_match_experiment,
-    first_match_trial,
-    pair_match_rate,
-    sample_pack,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoincidenceTable",
     "DEFAULT_PRECISION",
     "DEFAULT_TOLERANCE",
     "EndpointSpectrum",
@@ -71,7 +57,6 @@ __all__ = [
     "RNG_ALGORITHM",
     "SeriesExpectation",
     "TrialReport",
-    "WalkSample",
     "binomial",
     "coincidence_probability",
     "compositions",
@@ -84,18 +69,37 @@ __all__ = [
     "endpoint_probability",
     "endpoint_spectrum",
     "exact_pmf_and_expectation",
-    "exact_survival",
     "factorial",
     "first_match_experiment",
     "first_match_trial",
-    "integer_pow",
     "mixture_match_probability",
     "multinomial",
     "pair_match_rate",
     "pairwise_expectation",
     "pairwise_pmf",
-    "sample_pack",
+    "recursive_columns",
     "significant_string",
     "two_color_probability",
     "__version__",
 ]
+
+# Served on first access so that importing the package does not load numpy.
+_MONTECARLO_NAMES = frozenset(
+    {
+        "RNG_ALGORITHM",
+        "FirstMatchReport",
+        "TrialReport",
+        "endpoint_histogram",
+        "first_match_experiment",
+        "first_match_trial",
+        "pair_match_rate",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,6 +38,7 @@ from .coincidence import (
     count_gf,
     count_recursive,
     distinct_pack_count,
+    recursive_columns,
 )
 from .exactmath import decimal_string, significant_string
 from .firstmatch import (
@@ -178,15 +179,16 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             "(max_n <= 1000, max_d <= 100)"
         )
     columns = list(range(1, args.max_d + 1))
+    grid = list(recursive_columns(args.max_n, args.max_d))  # grid[d - 1][n]
     rows = []
     for n in range(1, args.max_n + 1):
-        cells = []
-        for d in columns:
-            spec = PackSpec(n, d)
-            if args.which == "counts":
-                cells.append(str(count_recursive(spec)))
-            else:
-                cells.append(decimal_string(coincidence_probability(spec), args.digits))
+        if args.which == "counts":
+            cells = [str(grid[d - 1][n]) for d in columns]
+        else:
+            cells = [
+                decimal_string(Fraction(grid[d - 1][n], d ** (2 * n)), args.digits)
+                for d in columns
+            ]
         rows.append({"n": n, "values": cells})
     record = {
         "command": "table",
@@ -407,6 +409,9 @@ def _render(record: dict[str, Any], fmt: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact answers can run to many thousands of digits; render them all.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

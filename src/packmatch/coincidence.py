@@ -14,7 +14,7 @@ generating-function coefficient extraction) and divides exactly.
 
 from __future__ import annotations
 
-import threading
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -102,58 +102,36 @@ def endpoint_probability(spec: PackSpec, endpoint: Sequence[int]) -> Fraction:
     return Fraction(weight, spec.d**spec.n)
 
 
-class CoincidenceTable:
-    """Shared memo of matching-pair counts, filled by the color recursion.
+def recursive_columns(max_n: int, max_d: int) -> Iterator[list[int]]:
+    """Yield the matching-pair counts column by column, for d = 1..max_d.
 
-    The recursion splits on how many items of the last color each pack holds:
-    count(n, d) = sum_k C(n, k)^2 * count(n - k, d - 1), with count(m, 1) = 1.
-    Entries are written once under a lock; a concurrent reader may duplicate a
-    computation but the value it stores is identical, so readers never observe
-    torn or inconsistent entries.
+    Each column lists count(n, d) for n = 0..max_n. The columns are built
+    bottom-up from the recursion over colors, which splits on how many items
+    of the last color each pack holds:
+    count(n, d) = sum_k C(n, k)^2 * count(n - k, d - 1), with count(n, 1) = 1.
+    Each squared binomial is computed once and reused for every column.
+
+    Raises:
+        ValueError: if ``max_n`` is negative or ``max_d`` is not positive.
     """
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], int] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        """Snapshot of memoised ((n, d), count) pairs."""
-        return list(self._memo.items())
-
-    def count(self, n: int, d: int) -> int:
-        """Matching-pair count for an (n, d) pack, memoised.
-
-        Raises:
-            ValueError: if ``n`` is negative or ``d`` is not positive.
-        """
-        if n < 0:
-            raise ValueError(f"pack size must be non-negative, got n={n}")
-        if d < 1:
-            raise ValueError(f"color count must be positive, got d={d}")
-        if d == 1:
-            # Both packs are forced to the single endpoint (n,).
-            return 1
-        key = (n, d)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = sum(
-            binomial(n, k) ** 2 * self.count(n - k, d - 1) for k in range(n + 1)
-        )
-        with self._lock:
-            self._memo[key] = value
-        return value
+    PackSpec(max_n, max_d)  # validates the bounds
+    column = [1] * (max_n + 1)
+    yield column
+    if max_d == 1:
+        return
+    squares = [[binomial(n, k) ** 2 for k in range(n + 1)] for n in range(max_n + 1)]
+    for _ in range(2, max_d + 1):
+        # C(n, k) = C(n, n - k), so pairing squares[n][k] with count(k, d - 1)
+        # gives the same sum as pairing it with count(n - k, d - 1).
+        column = [sum(map(operator.mul, row, column)) for row in squares]
+        yield column
 
 
-_SHARED_TABLE = CoincidenceTable()
-
-
-def count_recursive(spec: PackSpec, table: CoincidenceTable | None = None) -> int:
-    """Matching-pair count via the memoised color recursion."""
-    return (table if table is not None else _SHARED_TABLE).count(spec.n, spec.d)
+def count_recursive(spec: PackSpec) -> int:
+    """Matching-pair count via the bottom-up color recursion."""
+    for column in recursive_columns(spec.n, spec.d):
+        pass
+    return column[spec.n]
 
 
 def count_closed(spec: PackSpec) -> int:
@@ -162,26 +140,31 @@ def count_closed(spec: PackSpec) -> int:
     Evaluates sum over endpoints of multinomial(n; endpoint)^2 by a
     depth-first walk over the colors, extending a running product of binomial
     factors one color at a time so no multinomial is recomputed from scratch.
+    The walk keeps an explicit stack, so its depth is not bounded by ``d``.
     """
     n, d = spec.n, spec.d
+    if d == 1:
+        # Both packs are forced to the single endpoint (n,).
+        return 1
     # Pascal rows 0..n; row[m][k] = C(m, k). Addition only, exact.
     rows: list[list[int]] = [[1]]
     for m in range(1, n + 1):
         prev = rows[-1]
         rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, m)] + [1])
     total = 0
-
-    def descend(remaining: int, colors_left: int, partial: int) -> None:
-        nonlocal total
-        if colors_left == 1:
-            # Last color takes everything that remains.
-            total += partial * partial
-            return
+    stack = [(n, d, 1)]  # (items remaining, colors left, product so far)
+    while stack:
+        remaining, colors_left, partial = stack.pop()
         row = rows[remaining]
-        for k in range(remaining + 1):
-            descend(remaining - k, colors_left - 1, partial * row[k])
-
-    descend(n, d, 1)
+        if colors_left == 2 or remaining == 0:
+            # Each choice here fixes the rest: the last color takes whatever
+            # this one leaves, and with nothing left every color takes 0.
+            for c in row:
+                term = partial * c
+                total += term * term
+        else:
+            for k, c in enumerate(row):
+                stack.append((remaining - k, colors_left - 1, partial * c))
     return total
 
 
@@ -233,7 +216,7 @@ def count_gf(spec: PackSpec) -> int:
 def coincidence_probability(spec: PackSpec) -> Fraction:
     """Exact probability that two independent fillings of ``spec`` match.
 
-    Equals count / d ** (2 n) with the count from the memoised recursion; the
+    Equals count / d ** (2 n) with the count from the color recursion; the
     closed-form and generating-function routes give the same integer and are
     cross-checked in the test suite.
     """

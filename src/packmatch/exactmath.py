@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -104,19 +104,6 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return result
 
 
-def integer_pow(base: int, exponent: int) -> int:
-    """base ** exponent over the non-negative integers, with 0 ** 0 == 1.
-
-    Raises:
-        ValueError: if either argument is negative.
-    """
-    if base < 0 or exponent < 0:
-        raise ValueError(
-            f"integer_pow requires non-negative arguments, got {base} ** {exponent}"
-        )
-    return base**exponent
-
-
 def decimal_string(value: Rational, digits: int = 4) -> str:
     """Render an exact rational with a fixed number of decimal places.
 
@@ -194,8 +181,3 @@ def significant_string(value: Rational, digits: int = 4, *, rounding: str = "hal
     if digits > 1:
         mantissa = mantissa[0] + "." + mantissa[1:]
     return f"{sign}{mantissa}e{exponent:+03d}"
-
-
-def fraction_sum(values: Iterable[Rational]) -> Fraction:
-    """Exact sum of rationals, as a Fraction even for an empty iterable."""
-    return sum((Fraction(v) for v in values), Fraction(0))

@@ -219,7 +219,7 @@ class EndpointSpectrum:
             self.precision = precision
             self._ctx = decimal.Context(prec=precision, Emax=10**9, Emin=-(10**9))
             with decimal.localcontext(self._ctx):
-                den = Decimal(self._den_common(spec))
+                den = Decimal(spec.d**spec.n)
                 self._values = [Decimal(w) / den for w in self._weights]
                 self._dec_mults = [Decimal(m) for m in self._mults]
                 self._cur = list(self._values)
@@ -235,10 +235,6 @@ class EndpointSpectrum:
             self._active = self.num_classes
         self.alarm_threshold = alarm_threshold if mode == "decimal" else None
         self.max_survival_error: Decimal | None = Decimal(0) if mode == "decimal" else None
-
-    @staticmethod
-    def _den_common(spec: PackSpec) -> int:
-        return spec.d**spec.n
 
     @property
     def max_power(self) -> int:
@@ -430,11 +426,6 @@ def endpoint_spectrum(
     spectrum = EndpointSpectrum(spec, mode, precision, alarm_threshold)
     spectrum.ensure_power(max_power)
     return spectrum
-
-
-def exact_survival(spectrum: EndpointSpectrum, m: int) -> Number:
-    """P[X > m] under the exact oracle; see :meth:`EndpointSpectrum.survival`."""
-    return spectrum.survival(m)
 
 
 @dataclass(frozen=True)

@@ -45,28 +45,6 @@ def _validate_trials(trials: int) -> None:
         raise ValueError(f"trial count must be positive, got {trials}")
 
 
-@dataclass(frozen=True)
-class WalkSample:
-    """One sampled pack: the color of each draw and the per-color counts."""
-
-    steps: tuple[int, ...]
-    endpoint: tuple[int, ...]
-
-
-def sample_pack(spec: PackSpec, rng: np.random.Generator) -> WalkSample:
-    """Draw one pack as an ordered color sequence plus its endpoint.
-
-    The endpoint is exactly the histogram of the steps, so the invariant
-    ``sum(endpoint) == n`` always holds.
-    """
-    steps = rng.integers(0, spec.d, size=spec.n)
-    endpoint = np.bincount(steps, minlength=spec.d)
-    return WalkSample(
-        steps=tuple(int(s) for s in steps),
-        endpoint=tuple(int(c) for c in endpoint),
-    )
-
-
 def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     z = _Z_95

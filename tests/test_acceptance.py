@@ -18,7 +18,6 @@ from scipy.stats import chisquare
 
 from packmatch import cli
 from packmatch.coincidence import (
-    CoincidenceTable,
     PackSpec,
     coincidence_probability,
     compositions,
@@ -102,7 +101,7 @@ def test_criterion_03_headline_probability():
     spec = PackSpec(60, 5)
 
     start = time.perf_counter()
-    recursive = count_recursive(spec, table=CoincidenceTable())
+    recursive = count_recursive(spec)
     recursive_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -153,13 +152,12 @@ def test_criterion_07_route_equivalence():
     """closed, recursive, and generating-function counts agree exactly on
     the full grid 0 <= n <= 8, 1 <= d <= 5 (45 instances) in < 10 s."""
     start = time.perf_counter()
-    table = CoincidenceTable()
     checked = 0
     for n in range(9):
         for d in range(1, 6):
             spec = PackSpec(n, d)
             closed = count_closed(spec)
-            assert closed == count_recursive(spec, table=table)
+            assert closed == count_recursive(spec)
             assert closed == count_gf(spec)
             checked += 1
     assert checked == 45

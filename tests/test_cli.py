@@ -152,6 +152,12 @@ class TestProb:
         assert rows["probability.denominator"] == "8"
         assert rows["decimal"] == "0.3750"
 
+    def test_many_colors_every_route(self):
+        # A count that recursed once per color would hit the recursion limit.
+        record = run_json("prob", "--n", "1", "--d", "2000", "--route", "all")
+        assert record["counts"] == {"closed": "2000", "recursive": "2000", "gf": "2000"}
+        assert record["count"] == "2000"
+
     def test_validation_exit_code(self):
         assert run_cli("prob", "--n", "-1", "--d", "3")[0] == 2
 
@@ -187,6 +193,14 @@ class TestExpect:
         # Endpoint probabilities at (2, 2) are (1/4, 1/2, 1/4), so the
         # survival sums give 1 + 1 + 5/8 + 3/16 = 45/16.
         assert Fraction(record["exact"]["expectation"]) == Fraction(45, 16)
+
+    def test_exact_value_beyond_default_digit_limit(self):
+        # The exact tail bound at (300, 2) has integers of more than 4300
+        # digits, the default cap on int-to-str conversion since Python 3.11.
+        record = run_json("expect", "--n", "300", "--d", "2", "--model", "exact")
+        assert Fraction(record["exact"]["expectation"]) > 2
+        numerator, _ = record["exact"]["tail_bound"].split("/")
+        assert len(numerator) > 4300
 
     def test_trivial_empty_pack(self):
         record = run_json("expect", "--n", "0", "--d", "2", "--model", "exact")
@@ -364,6 +378,19 @@ class TestSubprocessDeterminism:
         assert result.returncode == 0
         for name in (b"table", b"prob", b"expect", b"mixture", b"simulate"):
             assert name in result.stdout
+
+    def test_import_does_not_load_numpy(self):
+        script = (
+            "import sys, packmatch, packmatch.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import packmatch.montecarlo\n"
+            "assert packmatch.first_match_experiment is "
+            "packmatch.montecarlo.first_match_experiment\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_byte_identical_seeded_simulation(self):
         argv = [

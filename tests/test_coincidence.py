@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from packmatch.coincidence import (
-    CoincidenceTable,
     PackSpec,
     coincidence_probability,
     compositions,
@@ -18,6 +17,7 @@ from packmatch.coincidence import (
     count_recursive,
     distinct_pack_count,
     endpoint_probability,
+    recursive_columns,
     two_color_probability,
 )
 from packmatch.exactmath import binomial, decimal_string
@@ -192,38 +192,33 @@ class TestCountingRoutes:
 
 
 class TestCoincidenceTable:
-    def test_memo_entries_satisfy_recursion(self):
-        table = CoincidenceTable()
-        table.count(6, 4)
-        entries = table.items()
-        assert entries
-        for (n, d), value in entries:
-            assert value == sum(
-                binomial(n, k) ** 2 * table.count(n - k, d - 1)
-                for k in range(n + 1)
-            )
+    """The count grid built column by column by ``recursive_columns``."""
 
-    def test_memoizes_every_subproblem_touched(self):
-        table = CoincidenceTable()
-        table.count(5, 3)
-        keys = {key for key, _ in table.items()}
-        assert (5, 3) in keys
-        assert {(m, 2) for m in range(6)} <= keys
+    def test_cells_satisfy_recursion(self):
+        grid = list(recursive_columns(8, 5))
+        assert len(grid) == 5
+        assert grid[0] == [1] * 9
+        for d in range(2, 6):
+            previous, column = grid[d - 2], grid[d - 1]
+            assert len(column) == 9
+            for n in range(9):
+                assert column[n] == sum(
+                    binomial(n, k) ** 2 * previous[n - k] for k in range(n + 1)
+                )
+                assert column[n] == count_closed(PackSpec(n, d))
 
     def test_validation(self):
-        table = CoincidenceTable()
         with pytest.raises(ValueError):
-            table.count(-1, 2)
+            list(recursive_columns(-1, 2))
         with pytest.raises(ValueError):
-            table.count(2, 0)
+            list(recursive_columns(2, 0))
 
     def test_concurrent_counts_identical(self):
-        table = CoincidenceTable()
         reference = count_closed(PackSpec(30, 4))
         results: list[int] = []
 
         def worker() -> None:
-            results.append(table.count(30, 4))
+            results.append(count_recursive(PackSpec(30, 4)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:

@@ -14,8 +14,6 @@ from packmatch.exactmath import (
     binomial,
     decimal_string,
     factorial,
-    fraction_sum,
-    integer_pow,
     multinomial,
     significant_string,
 )
@@ -145,20 +143,6 @@ class TestMultinomial:
         assert multinomial(n, parts) == product
 
 
-class TestIntegerPow:
-    def test_values(self):
-        assert integer_pow(0, 0) == 1
-        assert integer_pow(0, 5) == 0
-        assert integer_pow(2, 10) == 1024
-        assert integer_pow(5, 120) == 5**120
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            integer_pow(-2, 3)
-        with pytest.raises(ValueError):
-            integer_pow(2, -3)
-
-
 class TestDecimalString:
     def test_basic_renderings(self):
         assert decimal_string(Fraction(3, 8), 4) == "0.3750"
@@ -227,17 +211,3 @@ class TestSignificantString:
         scale = Fraction(10) ** (int(exponent) - digits + 1)
         assert abs(rendered - value) <= scale / 2
 
-
-class TestFractionSum:
-    def test_empty_sum_is_zero_fraction(self):
-        total = fraction_sum([])
-        assert total == 0
-        assert isinstance(total, Fraction)
-
-    def test_mixed_exact_sum(self):
-        total = fraction_sum([1, Fraction(1, 3), Fraction(2, 3)])
-        assert total == Fraction(2)
-
-    @given(st.lists(st.fractions(min_value=-5, max_value=5), max_size=20))
-    def test_matches_builtin_sum(self, values):
-        assert fraction_sum(values) == sum(values, Fraction(0))

@@ -23,7 +23,6 @@ from packmatch.firstmatch import (
     PackSizeDistribution,
     endpoint_spectrum,
     exact_pmf_and_expectation,
-    exact_survival,
     mixture_match_probability,
     pairwise_expectation,
     pairwise_pmf,
@@ -193,23 +192,23 @@ class TestEndpointSpectrum:
 class TestExactSurvival:
     def test_examples(self):
         one_two = endpoint_spectrum(PackSpec(1, 2), max_power=3)
-        assert exact_survival(one_two, 2) == Fraction(1, 2)
-        assert exact_survival(one_two, 3) == 0
+        assert one_two.survival(2) == Fraction(1, 2)
+        assert one_two.survival(3) == 0
         one_three = endpoint_spectrum(PackSpec(1, 3), max_power=3)
-        assert exact_survival(one_three, 3) == Fraction(2, 9)
+        assert one_three.survival(3) == Fraction(2, 9)
 
     def test_boundary_values(self):
         spectrum = endpoint_spectrum(PackSpec(2, 3), max_power=6)
-        assert exact_survival(spectrum, 0) == 1
-        assert exact_survival(spectrum, 1) == 1
-        assert exact_survival(spectrum, spectrum.num_endpoints + 1) == 0
-        assert exact_survival(spectrum, 10**6) == 0
+        assert spectrum.survival(0) == 1
+        assert spectrum.survival(1) == 1
+        assert spectrum.survival(spectrum.num_endpoints + 1) == 0
+        assert spectrum.survival(10**6) == 0
         with pytest.raises(ValueError):
-            exact_survival(spectrum, -1)
+            spectrum.survival(-1)
 
     def test_non_increasing_and_zero_after_support(self):
         spectrum = endpoint_spectrum(PackSpec(2, 3), max_power=7)
-        values = [exact_survival(spectrum, m) for m in range(8)]
+        values = [spectrum.survival(m) for m in range(8)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier
         assert values[6] > 0  # all 6 distinct endpoints can still be distinct

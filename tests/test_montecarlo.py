@@ -28,46 +28,13 @@ from packmatch.coincidence import (
 from packmatch.montecarlo import (
     RNG_ALGORITHM,
     FirstMatchReport,
-    WalkSample,
     _generator,
     _wilson_interval,
     endpoint_histogram,
     first_match_experiment,
     first_match_trial,
     pair_match_rate,
-    sample_pack,
 )
-
-
-class TestSamplePack:
-    def test_empty_pack(self):
-        walk = sample_pack(PackSpec(0, 5), _generator(1, 0))
-        assert walk.steps == ()
-        assert walk.endpoint == (0, 0, 0, 0, 0)
-
-    def test_endpoint_equals_step_histogram(self):
-        for seed in range(5):
-            walk = sample_pack(PackSpec(7, 3), _generator(seed, 0))
-            assert len(walk.steps) == 7
-            assert all(0 <= step < 3 for step in walk.steps)
-            counter = Counter(walk.steps)
-            assert walk.endpoint == tuple(counter.get(color, 0) for color in range(3))
-            assert sum(walk.endpoint) == 7
-
-    def test_fixed_seed_is_reproducible(self):
-        first = sample_pack(PackSpec(5, 3), _generator(42, 0))
-        second = sample_pack(PackSpec(5, 3), _generator(42, 0))
-        assert first == second
-        # Pinned values document cross-run determinism of the seeded stream.
-        assert first == WalkSample(steps=(1, 2, 1, 2, 0), endpoint=(1, 2, 2))
-
-    def test_large_sample_concentration(self):
-        # Binomial concentration: each color count within 5 standard
-        # deviations (5 * sqrt(n/4) = 2500) of n/2.
-        n = 10**6
-        walk = sample_pack(PackSpec(n, 2), _generator(123, 0))
-        for count in walk.endpoint:
-            assert abs(count - n / 2) < 2500
 
 
 class TestWilsonInterval:
@@ -298,9 +265,6 @@ class TestReportSerializationContract:
         report = pair_match_rate(PackSpec(2, 2), 100, 1)
         assert type(report.matches) is int
         assert type(report.estimate) is float
-        walk = sample_pack(PackSpec(3, 2), _generator(0, 0))
-        assert all(type(v) is int for v in walk.steps)
-        assert all(type(v) is int for v in walk.endpoint)
         hist = endpoint_histogram(PackSpec(1, 2), 100, 2)
         assert all(type(k) is tuple for k in hist)
         assert all(type(v) is int for v in hist.values())
