@@ -22,7 +22,6 @@ from .coincidence import (
     two_color_probability,
 )
 from .exactmath import (
-    FactorialCache,
     binomial,
     decimal_string,
     factorial,
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "DEFAULT_TOLERANCE",
     "EndpointSpectrum",
-    "FactorialCache",
     "FirstMatchLaw",
     "FirstMatchReport",
     "PackSizeDistribution",

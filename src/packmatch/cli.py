@@ -252,8 +252,7 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             "last_index": series.last_index,
         }
     if args.model in ("exact", "both"):
-        spectrum = endpoint_spectrum(spec, max_power=2)
-        law = exact_pmf_and_expectation(spectrum, tol=args.tol)
+        law = exact_pmf_and_expectation(endpoint_spectrum(spec), tol=args.tol)
         exact_value = Fraction(law.expectation)
         record["exact"] = {
             "expectation": str(law.expectation),
@@ -274,8 +273,6 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    if args.d < 1:
-        raise ValueError(f"color count must be positive, got {args.d}")
     distribution = PackSizeDistribution.from_file(args.file)
     probability = mixture_match_probability(distribution, args.d)
     record = {
@@ -325,9 +322,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     else:
         reference = None
         if distinct_pack_count(spec) <= _REFERENCE_ENDPOINT_LIMIT:
-            law = exact_pmf_and_expectation(
-                endpoint_spectrum(spec, max_power=2), tol=1e-9
-            )
+            law = exact_pmf_and_expectation(endpoint_spectrum(spec), tol=1e-9)
             reference = float(law.expectation)
         report = montecarlo.first_match_experiment(
             spec, args.trials, args.seed, analytic_reference=reference
@@ -416,10 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record, alarm = args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

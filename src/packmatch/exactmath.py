@@ -4,64 +4,17 @@ Counts are plain Python integers (unbounded) and probabilities are
 ``fractions.Fraction`` values, which the stdlib keeps in lowest terms with a
 positive denominator. Nothing in this module rounds; the rendering helpers at
 the bottom convert exact rationals to decimal strings for a caller-chosen
-digit count and are the only place precision is dropped.
+digit count and are the only place precision is dropped. ``factorial`` is
+the standard library's ``math.factorial``.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from math import comb, factorial
 from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
-
-
-class FactorialCache:
-    """Monotonically growing table of factorials.
-
-    The table satisfies ``table[k] == k * table[k - 1]`` with ``table[0] == 1``
-    and never shrinks. Growth is guarded by a lock; lookups of already
-    computed entries take no lock, which is safe because entries are written
-    once and list appends are atomic in CPython. Concurrent readers therefore
-    always see a consistent prefix and identical values.
-    """
-
-    def __init__(self) -> None:
-        self._table: list[int] = [1]
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def extend_to(self, k: int) -> None:
-        """Grow the table so that indices 0..k are available."""
-        if k < len(self._table):
-            return
-        with self._lock:
-            table = self._table
-            while len(table) <= k:
-                # len(table) is the index being filled.
-                table.append(table[-1] * len(table))
-
-    def factorial(self, k: int) -> int:
-        """Return k! exactly.
-
-        Raises:
-            ValueError: if ``k`` is negative.
-        """
-        if k < 0:
-            raise ValueError(f"factorial is undefined for negative arguments, got {k}")
-        if k >= len(self._table):
-            self.extend_to(k)
-        return self._table[k]
-
-
-_SHARED_FACTORIALS = FactorialCache()
-
-
-def factorial(k: int) -> int:
-    """k! from the shared process-wide cache."""
-    return _SHARED_FACTORIALS.factorial(k)
 
 
 def binomial(n: int, k: int) -> int:
@@ -77,8 +30,7 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
-    cache = _SHARED_FACTORIALS
-    return cache.factorial(n) // (cache.factorial(k) * cache.factorial(n - k))
+    return comb(n, k)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -98,10 +50,19 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         total += p
     if total != n:
         raise ValueError(f"multinomial parts sum to {total}, expected {n}")
-    result = _SHARED_FACTORIALS.factorial(n)
+    result = factorial(n)
     for p in parts:
-        result //= _SHARED_FACTORIALS.factorial(p)
+        result //= factorial(p)
     return result
+
+
+def _round_half_even(scaled: Fraction) -> int:
+    """The integer nearest to a non-negative rational, ties to the even one."""
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    double = 2 * r
+    if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
+        q += 1
+    return q
 
 
 def decimal_string(value: Rational, digits: int = 4) -> str:
@@ -118,12 +79,7 @@ def decimal_string(value: Rational, digits: int = 4) -> str:
         raise ValueError(f"digits must be non-negative, got {digits}")
     value = Fraction(value)
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * Fraction(10**digits)
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * r
-    if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
-        q += 1
-    text = str(q)
+    text = str(_round_half_even(abs(value) * Fraction(10**digits)))
     if digits == 0:
         return sign + text
     text = text.rjust(digits + 1, "0")
@@ -167,11 +123,10 @@ def significant_string(value: Rational, digits: int = 4, *, rounding: str = "hal
         scaled = Fraction(num * 10**shift, den)
     else:
         scaled = Fraction(num, den * 10**-shift)
-    q, r = divmod(scaled.numerator, scaled.denominator)
     if rounding == "half-even":
-        double = 2 * r
-        if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
-            q += 1
+        q = _round_half_even(scaled)
+    else:
+        q = scaled.numerator // scaled.denominator
     if q == 10**digits:
         # Rounding carried into a new leading digit.
         q //= 10

@@ -41,8 +41,7 @@ DEFAULT_TOLERANCE = 1e-12
 DEFAULT_PRECISION = 128
 PAIRWISE_PRECISION = 40
 EXACT_ENDPOINT_LIMIT = 10_000
-EXACT_POWER_LIMIT = 200
-DEFAULT_ENDPOINT_CEILING = 10_000_000
+ENDPOINT_CEILING = 10_000_000
 
 _PAIRWISE_MAX_TERMS = 5_000_000
 
@@ -80,11 +79,7 @@ class SeriesExpectation:
     last_index: int
 
 
-def pairwise_expectation(
-    p: Fraction,
-    tol: float = DEFAULT_TOLERANCE,
-    precision: int = PAIRWISE_PRECISION,
-) -> SeriesExpectation:
+def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesExpectation:
     """Expectation of the pairwise model, summed until the tail is provably small.
 
     Sums l * (l - 1) * p * (1 - p)^C(l-1, 2) for l = 2, 3, ... and stops once
@@ -92,6 +87,7 @@ def pairwise_expectation(
     r = (l + 1) / (l - 1) * (1 - p)^(l - 1) has dropped below 1, and the
     geometric tail bound term * r / (1 - r) is below ``tol``. The ratio is
     decreasing in l, so the geometric bound is valid from the stopping index.
+    The sum runs at ``PAIRWISE_PRECISION`` significant digits.
 
     Raises:
         ValueError: if ``p`` is not in (0, 1] (the series diverges at p = 0).
@@ -99,7 +95,7 @@ def pairwise_expectation(
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError(f"pair match probability must lie in (0, 1], got {p}")
-    ctx = decimal.Context(prec=precision, Emax=10**9, Emin=-(10**9))
+    ctx = decimal.Context(prec=PAIRWISE_PRECISION, Emax=10**9, Emin=-(10**9))
     with decimal.localcontext(ctx):
         pd = Decimal(p.numerator) / Decimal(p.denominator)
         omp = 1 - pd
@@ -167,28 +163,25 @@ class EndpointSpectrum:
     """Endpoint probabilities of a pack shape, aggregated for the exact oracle.
 
     Holds one entry per distinct probability value together with its
-    multiplicity, and grows three aligned sequences on demand: the power sums
-    S_j, the elementary symmetric values e_m, and the survival probabilities
-    P[X > m] = m! * e_m. Construct through :func:`endpoint_spectrum`.
+    multiplicity, and grows three aligned sequences: the power sums S_j, the
+    elementary symmetric values e_m, and the survival probabilities
+    P[X > m] = m! * e_m. :meth:`power_sum`, :meth:`survival` and
+    :meth:`survival_error` grow them up to the index asked for, in any order.
+    Construct through :func:`endpoint_spectrum`.
 
     Two arithmetic modes exist. ``"rational"`` keeps everything as exact
     Fractions. ``"decimal"`` works at a fixed number of significant digits
     and tracks a conservative absolute error bound for every survival value;
-    if any bound crosses the alarm threshold the sticky ``precision_alarm``
-    flag is raised. In decimal mode, classes whose current power has decayed
-    below 10**-(precision + 12) times the leading class's power are dropped
-    from later power sums, which stays far below the tracked error bounds.
+    if any bound crosses ``alarm_threshold`` (10**-(precision // 2)) the
+    sticky ``precision_alarm`` flag is raised. In decimal mode, classes whose
+    current power has decayed below 10**-(precision + 12) times the leading
+    class's power are dropped from later power sums, which stays far below
+    the tracked error bounds.
 
     Instances are not thread-safe; share them only with external locking.
     """
 
-    def __init__(
-        self,
-        spec: PackSpec,
-        mode: str,
-        precision: int | None,
-        alarm_threshold: Decimal | None,
-    ) -> None:
+    def __init__(self, spec: PackSpec, mode: str, precision: int | None) -> None:
         if mode not in ("rational", "decimal"):
             raise ValueError(f"unknown spectrum mode: {mode!r}")
         self.spec = spec
@@ -202,6 +195,8 @@ class EndpointSpectrum:
         self._elem: list[Number] = []
         self._surv: list[Number] = []
         self.precision: int | None = None
+        self.alarm_threshold: Decimal | None = None
+        self.max_survival_error: Decimal | None = None
         self._alarm = False
 
         if mode == "rational":
@@ -225,21 +220,14 @@ class EndpointSpectrum:
                 self._cur = list(self._values)
                 self._ulp = Decimal(10) ** (1 - precision)
                 self._prune = Decimal(10) ** (-(precision + 12))
-                if alarm_threshold is None:
-                    alarm_threshold = Decimal(10) ** (-(precision // 2))
+                self.alarm_threshold = Decimal(10) ** (-(precision // 2))
+                self.max_survival_error = Decimal(0)
                 self._elem = [Decimal(1)]
                 self._elem_err: list[Decimal] = [Decimal(0)]
                 self._fact = Decimal(1)
                 self._surv_err: list[Decimal] = []
                 self._srel: list[Decimal] = []
             self._active = self.num_classes
-        self.alarm_threshold = alarm_threshold if mode == "decimal" else None
-        self.max_survival_error: Decimal | None = Decimal(0) if mode == "decimal" else None
-
-    @property
-    def max_power(self) -> int:
-        """Highest power sum index computed so far (0 before any growth)."""
-        return len(self._power_sums)
 
     @property
     def precision_alarm(self) -> bool:
@@ -247,16 +235,14 @@ class EndpointSpectrum:
         return self._alarm
 
     def power_sum(self, j: int) -> Number:
-        """S_j = sum over endpoints of q^j, for 1 <= j <= max_power.
+        """S_j = sum over endpoints of q^j, grown up to ``j`` if needed.
 
         Raises:
-            ValueError: if ``j`` is out of the computed range; call
-                :meth:`ensure_power` first to grow it.
+            ValueError: if ``j < 1``.
         """
-        if j < 1 or j > len(self._power_sums):
-            raise ValueError(
-                f"power sum index {j} outside computed range 1..{len(self._power_sums)}"
-            )
+        if j < 1:
+            raise ValueError(f"power sum index must be at least 1, got {j}")
+        self.ensure_power(j)
         return self._power_sums[j - 1]
 
     def ensure_power(self, j: int) -> None:
@@ -294,10 +280,7 @@ class EndpointSpectrum:
                     self._active -= 1
 
     def _extend_newton(self, m: int) -> None:
-        if m > len(self._power_sums):
-            raise ValueError(
-                f"survival at {m} needs power sums up to {m}; call ensure_power"
-            )
+        self.ensure_power(m)
         if self.mode == "rational":
             while len(self._elem) <= m:
                 k = len(self._elem)
@@ -350,8 +333,7 @@ class EndpointSpectrum:
         endpoints, in both modes.
 
         Raises:
-            ValueError: if ``m`` is negative, or ``m`` exceeds
-                :attr:`max_power` while inside the support.
+            ValueError: if ``m`` is negative.
         """
         one: Number = Fraction(1) if self.mode == "rational" else Decimal(1)
         if m < 0:
@@ -360,11 +342,6 @@ class EndpointSpectrum:
             return one
         if m > self.num_endpoints:
             return one - one
-        if m > len(self._power_sums):
-            raise ValueError(
-                f"survival at {m} exceeds max_power={len(self._power_sums)}; "
-                "call ensure_power first"
-            )
         self._extend_newton(m)
         return self._surv[m - 2]
 
@@ -374,58 +351,36 @@ class EndpointSpectrum:
             return None
         if m <= 1 or m > self.num_endpoints:
             return Decimal(0)
-        if m - 2 >= len(self._surv_err):
-            raise ValueError(f"survival at {m} has not been computed yet")
+        self._extend_newton(m)
         return self._surv_err[m - 2]
 
 
 def endpoint_spectrum(
-    spec: PackSpec,
-    max_power: int,
-    *,
-    mode: str | None = None,
-    precision: int | None = None,
-    alarm_threshold: Decimal | None = None,
-    endpoint_ceiling: int = DEFAULT_ENDPOINT_CEILING,
+    spec: PackSpec, *, mode: str | None = None, precision: int | None = None
 ) -> EndpointSpectrum:
-    """Build the endpoint spectrum of ``spec`` with S_1..S_max_power ready.
+    """Build the endpoint spectrum of ``spec``; power sums grow on demand.
 
     Args:
         spec: pack shape.
-        max_power: highest power sum to precompute; :meth:`ensure_power` can
-            grow past it later.
         mode: force ``"rational"`` or ``"decimal"``; by default rational is
-            chosen when the endpoint count is at most 10**4 and ``max_power``
-            at most 200, decimal otherwise.
+            chosen when the endpoint count is at most ``EXACT_ENDPOINT_LIMIT``
+            (10**4), decimal otherwise.
         precision: significant digits for decimal mode (default 128).
-        alarm_threshold: absolute survival error that trips the precision
-            alarm (default 10**-(precision // 2)).
-        endpoint_ceiling: refuse specs with more distinct endpoints than
-            this, as a resource guard (default 10**7).
 
     Raises:
-        ValueError: on invalid arguments or when the endpoint count exceeds
-            ``endpoint_ceiling``.
+        ValueError: on invalid arguments, or when the endpoint count exceeds
+            ``ENDPOINT_CEILING`` (10**7), a resource guard.
     """
-    if max_power < 0:
-        raise ValueError(f"max_power must be non-negative, got {max_power}")
     count = distinct_pack_count(spec)
-    if count > endpoint_ceiling:
+    if count > ENDPOINT_CEILING:
         raise ValueError(
-            f"{spec} has {count} distinct endpoints, above the ceiling "
-            f"{endpoint_ceiling}; raise endpoint_ceiling to proceed"
+            f"{spec} has {count} distinct endpoints, above the ceiling {ENDPOINT_CEILING}"
         )
     if mode is None:
-        mode = (
-            "rational"
-            if count <= EXACT_ENDPOINT_LIMIT and max_power <= EXACT_POWER_LIMIT
-            else "decimal"
-        )
+        mode = "rational" if count <= EXACT_ENDPOINT_LIMIT else "decimal"
     if mode == "rational" and precision is not None:
         raise ValueError("precision applies to decimal mode only")
-    spectrum = EndpointSpectrum(spec, mode, precision, alarm_threshold)
-    spectrum.ensure_power(max_power)
-    return spectrum
+    return EndpointSpectrum(spec, mode, precision)
 
 
 @dataclass(frozen=True)
@@ -457,8 +412,8 @@ def exact_pmf_and_expectation(
 ) -> FirstMatchLaw:
     """First-match law under the exact oracle, truncated at tolerance ``tol``.
 
-    Walks m = 2, 3, ... computing survivals, growing the spectrum's power
-    sums as needed. P[X = m] = P[X > m - 1] - P[X > m] and
+    Walks m = 2, 3, ... computing survivals; the spectrum grows its power
+    sums as it goes. P[X = m] = P[X > m - 1] - P[X > m] and
     E[X] = sum of survivals. Stops exactly when the survival hits 0 (always
     within num_endpoints + 1 packs) or, in decimal mode, once the survival
     and its geometric tail bound both fall below ``tol``; survival ratios are
@@ -482,7 +437,6 @@ def exact_pmf_and_expectation(
         if m > spectrum.num_endpoints:
             survival = zero
         else:
-            spectrum.ensure_power(m)
             survival = spectrum.survival(m)
             if survival < 0:
                 # Roundoff past the bottom of the support; clamp.

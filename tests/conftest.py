@@ -31,7 +31,7 @@ def headline_probability(headline_spec):
 @pytest.fixture(scope="session")
 def headline_law(headline_spec):
     """Exact first-match law at (60, 5): decimal mode, tolerance 1e-12."""
-    spectrum = endpoint_spectrum(headline_spec, max_power=2)
+    spectrum = endpoint_spectrum(headline_spec)
     return exact_pmf_and_expectation(spectrum, tol=1e-12)
 
 

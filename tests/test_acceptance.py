@@ -168,11 +168,11 @@ def test_criterion_08_exact_small_laws():
     """Hand-enumerable first-match laws at n = 1 hold exactly (E = 5/2 for
     two colors, 26/9 for three), and the pairwise pmf's excess mass 29/27
     at p = 1/3 stays on record as a permanent witness."""
-    law_two = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 2), max_power=2))
+    law_two = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 2)))
     assert law_two.pmf == {2: Fraction(1, 2), 3: Fraction(1, 2)}
     assert law_two.expectation == Fraction(5, 2)
 
-    law_three = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3), max_power=2))
+    law_three = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3)))
     assert law_three.pmf == {2: Fraction(1, 3), 3: Fraction(4, 9), 4: Fraction(2, 9)}
     assert law_three.expectation == Fraction(26, 9)
 

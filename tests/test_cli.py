@@ -228,6 +228,14 @@ class TestExpect:
         assert code == 0
         assert "exact.expectation: 5/2" in out.splitlines()
 
+    def test_endpoint_ceiling_is_usage_error(self):
+        # C(139, 39) endpoints, far above the oracle's fixed 10^7 ceiling.
+        code, out, err = run_cli("expect", "--n", "100", "--d", "40", "--model", "exact")
+        assert code == 2
+        assert out == ""
+        assert "ceiling" in err
+        assert "endpoint_ceiling" not in err
+
     def test_tolerance_validation(self):
         assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "0")[0] == 2
         assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "1.5")[0] == 2
@@ -301,7 +309,9 @@ class TestMixture:
     def test_color_count_validation(self, tmp_path):
         path = tmp_path / "sizes.txt"
         path.write_text("1 1\n", encoding="utf-8")
-        assert run_cli("mixture", str(path), "--d", "0")[0] == 2
+        code, _, err = run_cli("mixture", str(path), "--d", "0")
+        assert code == 2
+        assert "color count must be positive, got 0" in err
 
 
 class TestSimulate:
@@ -358,6 +368,10 @@ class TestExitCodesAndPlumbing:
         code, _, err = run_cli("prob", "--n", "2", "--d", "2")
         assert code == 4
         assert "internal check failed" in err
+
+    def test_every_exported_name_resolves(self):
+        for name in packmatch.__all__:
+            assert getattr(packmatch, name) is not None, name
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from packmatch.exactmath import (
-    FactorialCache,
     binomial,
     decimal_string,
     factorial,
@@ -32,41 +30,6 @@ class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             factorial(-1)
-
-    def test_cache_recurrence_invariant(self):
-        cache = FactorialCache()
-        cache.extend_to(40)
-        assert cache.factorial(0) == 1
-        for k in range(1, 41):
-            assert cache.factorial(k) == k * cache.factorial(k - 1)
-
-    def test_cache_never_shrinks(self):
-        cache = FactorialCache()
-        cache.extend_to(30)
-        size = len(cache)
-        cache.extend_to(10)
-        assert len(cache) == size
-
-    def test_concurrent_readers_see_identical_values(self):
-        # Contract: concurrent reads return identical values, no torn state.
-        cache = FactorialCache()
-        results: list[int] = []
-        errors: list[BaseException] = []
-
-        def worker() -> None:
-            try:
-                results.append(cache.factorial(250))
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(results) == 8
-        assert set(results) == {math.factorial(250)}
 
 
 class TestBinomial:

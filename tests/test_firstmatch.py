@@ -111,16 +111,16 @@ class TestPairwiseExpectation:
 
 class TestEndpointSpectrum:
     def test_example_power_sums(self):
-        one_two = endpoint_spectrum(PackSpec(1, 2), max_power=3)
+        one_two = endpoint_spectrum(PackSpec(1, 2))
         assert one_two.mode == "rational"
         assert one_two.num_endpoints == 2
         assert one_two.power_sum(1) == 1
         assert one_two.power_sum(2) == Fraction(1, 2)
 
-        two_two = endpoint_spectrum(PackSpec(2, 2), max_power=2)
+        two_two = endpoint_spectrum(PackSpec(2, 2))
         assert two_two.power_sum(2) == Fraction(3, 8)
 
-        one_three = endpoint_spectrum(PackSpec(1, 3), max_power=3)
+        one_three = endpoint_spectrum(PackSpec(1, 3))
         assert one_three.power_sum(2) == Fraction(1, 3)
         assert one_three.power_sum(3) == Fraction(1, 9)
 
@@ -129,76 +129,74 @@ class TestEndpointSpectrum:
         for n in range(7):
             for d in range(1, 5):
                 spec = PackSpec(n, d)
-                spectrum = endpoint_spectrum(spec, max_power=2)
+                spectrum = endpoint_spectrum(spec)
                 assert spectrum.power_sum(2) == coincidence_probability(spec)
 
     def test_first_power_sum_is_one(self):
         for n, d in [(0, 3), (1, 1), (4, 3), (6, 2)]:
-            assert endpoint_spectrum(PackSpec(n, d), max_power=1).power_sum(1) == 1
+            assert endpoint_spectrum(PackSpec(n, d)).power_sum(1) == 1
 
     def test_power_sums_strictly_decreasing(self):
         # Non-degenerate spectra have every q_v < 1, so S_(j+1) < S_j.
-        spectrum = endpoint_spectrum(PackSpec(3, 3), max_power=10)
+        spectrum = endpoint_spectrum(PackSpec(3, 3))
         for j in range(1, 10):
             assert spectrum.power_sum(j + 1) < spectrum.power_sum(j)
 
     def test_power_sums_decreasing_in_decimal_mode(self, headline_spec):
-        spectrum = endpoint_spectrum(headline_spec, max_power=12)
+        spectrum = endpoint_spectrum(headline_spec)
         assert spectrum.mode == "decimal"
         assert abs(spectrum.power_sum(1) - 1) < Decimal("1e-100")
         for j in range(1, 12):
             assert spectrum.power_sum(j + 1) < spectrum.power_sum(j)
 
     def test_mode_selection_gates(self, headline_spec):
-        assert endpoint_spectrum(PackSpec(8, 4), max_power=10).mode == "rational"
+        assert endpoint_spectrum(PackSpec(8, 4)).mode == "rational"
         assert distinct_pack_count(headline_spec) > EXACT_ENDPOINT_LIMIT
-        big = endpoint_spectrum(headline_spec, max_power=2)
+        big = endpoint_spectrum(headline_spec)
         assert big.mode == "decimal"
         assert big.precision == DEFAULT_PRECISION
-        deep = endpoint_spectrum(PackSpec(2, 2), max_power=201)
-        assert deep.mode == "decimal"
-        forced = endpoint_spectrum(PackSpec(3, 3), max_power=4, mode="decimal", precision=30)
+        # The rational/decimal boundary sits between these two shapes.
+        below = endpoint_spectrum(PackSpec(139, 3))
+        assert below.num_endpoints == 9870 <= EXACT_ENDPOINT_LIMIT
+        assert below.mode == "rational"
+        above = endpoint_spectrum(PackSpec(140, 3))
+        assert above.num_endpoints == 10011 > EXACT_ENDPOINT_LIMIT
+        assert above.mode == "decimal"
+        forced = endpoint_spectrum(PackSpec(3, 3), mode="decimal", precision=30)
         assert forced.mode == "decimal"
         assert forced.precision == 30
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), max_power=-1)
+            endpoint_spectrum(PackSpec(2, 2), mode="float")
         with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), max_power=2, mode="float")
+            endpoint_spectrum(PackSpec(2, 2), mode="rational", precision=50)
         with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), max_power=2, mode="rational", precision=50)
-        with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), max_power=2, mode="decimal", precision=2)
+            endpoint_spectrum(PackSpec(2, 2), mode="decimal", precision=2)
 
     def test_endpoint_ceiling_guard(self):
         with pytest.raises(ValueError, match="ceiling"):
-            endpoint_spectrum(PackSpec(60, 5), max_power=2, endpoint_ceiling=1000)
-        with pytest.raises(ValueError, match="ceiling"):
             # C(139, 39) is astronomically above the default 10^7 ceiling.
-            endpoint_spectrum(PackSpec(100, 40), max_power=2)
+            endpoint_spectrum(PackSpec(100, 40))
 
     def test_power_sum_range_checks(self):
-        spectrum = endpoint_spectrum(PackSpec(2, 2), max_power=3)
+        spectrum = endpoint_spectrum(PackSpec(2, 2))
         with pytest.raises(ValueError):
             spectrum.power_sum(0)
-        with pytest.raises(ValueError):
-            spectrum.power_sum(4)
-        spectrum.ensure_power(5)
-        assert spectrum.max_power == 5
-        assert spectrum.power_sum(4) > 0
+        # Endpoint probabilities 1/4, 1/2, 1/4: S_4 = 2/256 + 1/16.
+        assert spectrum.power_sum(4) == Fraction(9, 128)
 
 
 class TestExactSurvival:
     def test_examples(self):
-        one_two = endpoint_spectrum(PackSpec(1, 2), max_power=3)
+        one_two = endpoint_spectrum(PackSpec(1, 2))
         assert one_two.survival(2) == Fraction(1, 2)
         assert one_two.survival(3) == 0
-        one_three = endpoint_spectrum(PackSpec(1, 3), max_power=3)
+        one_three = endpoint_spectrum(PackSpec(1, 3))
         assert one_three.survival(3) == Fraction(2, 9)
 
     def test_boundary_values(self):
-        spectrum = endpoint_spectrum(PackSpec(2, 3), max_power=6)
+        spectrum = endpoint_spectrum(PackSpec(2, 3))
         assert spectrum.survival(0) == 1
         assert spectrum.survival(1) == 1
         assert spectrum.survival(spectrum.num_endpoints + 1) == 0
@@ -207,19 +205,38 @@ class TestExactSurvival:
             spectrum.survival(-1)
 
     def test_non_increasing_and_zero_after_support(self):
-        spectrum = endpoint_spectrum(PackSpec(2, 3), max_power=7)
+        spectrum = endpoint_spectrum(PackSpec(2, 3))
         values = [spectrum.survival(m) for m in range(8)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier
         assert values[6] > 0  # all 6 distinct endpoints can still be distinct
         assert values[7] == 0  # pigeonhole beyond the support
 
-    def test_requires_power_sums(self):
-        spectrum = endpoint_spectrum(PackSpec(3, 3), max_power=2)
-        with pytest.raises(ValueError, match="ensure_power"):
-            spectrum.survival(5)
-        spectrum.ensure_power(5)
-        assert spectrum.survival(5) > 0
+    def test_grows_power_sums_on_demand(self):
+        # A fresh spectrum asked for late indices first, out of order, returns
+        # exactly what a spectrum walked index by index returns.
+        spec = PackSpec(4, 3)
+        for mode in ("rational", "decimal"):
+            walked = endpoint_spectrum(spec, mode=mode)
+            powers = [walked.power_sum(j) for j in range(1, 13)]
+            survivals = [walked.survival(m) for m in range(13)]
+            errors = [walked.survival_error(m) for m in range(13)]
+
+            fresh = endpoint_spectrum(spec, mode=mode)
+            with pytest.raises(ValueError):
+                fresh.power_sum(0)
+            with pytest.raises(ValueError):
+                fresh.survival(-1)
+            assert fresh.survival_error(9) == errors[9]
+            assert fresh.survival(5) == survivals[5]
+            assert fresh.power_sum(12) == powers[11]
+            assert fresh.survival(12) == survivals[12]
+            assert fresh.power_sum(3) == powers[2]
+            assert fresh.survival_error(2) == errors[2]
+            assert [fresh.survival(m) for m in range(13)] == survivals
+            assert [fresh.survival_error(m) for m in range(13)] == errors
+            assert [fresh.power_sum(j) for j in range(1, 13)] == powers
+            assert (errors[9] is None) == (mode == "rational")
 
     def test_newton_matches_direct_expansion(self):
         # m! * e_m from Newton's identities vs. the m-th elementary symmetric
@@ -228,7 +245,7 @@ class TestExactSurvival:
             spec = PackSpec(n, d)
             values = [endpoint_probability(spec, c) for c in compositions(spec)]
             assert len(values) <= 12
-            spectrum = endpoint_spectrum(spec, max_power=6)
+            spectrum = endpoint_spectrum(spec)
             for m in range(2, 7):
                 direct = sum(
                     (math.prod(combo) for combo in itertools.combinations(values, m)),
@@ -238,8 +255,8 @@ class TestExactSurvival:
 
     def test_decimal_mode_matches_rational_within_tracked_error(self):
         spec = PackSpec(3, 3)
-        exact = endpoint_spectrum(spec, max_power=10)
-        approx = endpoint_spectrum(spec, max_power=10, mode="decimal", precision=40)
+        exact = endpoint_spectrum(spec)
+        approx = endpoint_spectrum(spec, mode="decimal", precision=40)
         for m in range(2, 11):
             reference = exact.survival(m)
             value = approx.survival(m)
@@ -249,30 +266,30 @@ class TestExactSurvival:
             assert error < Decimal("1e-20")
 
     def test_survival_error_reporting(self):
-        rational = endpoint_spectrum(PackSpec(2, 2), max_power=3)
+        rational = endpoint_spectrum(PackSpec(2, 2))
         rational.survival(2)
         assert rational.survival_error(2) is None
 
-        spectrum = endpoint_spectrum(PackSpec(3, 3), max_power=6, mode="decimal", precision=40)
+        spectrum = endpoint_spectrum(PackSpec(3, 3), mode="decimal", precision=40)
         assert spectrum.survival_error(0) == 0
         assert spectrum.survival_error(1) == 0
         assert spectrum.survival_error(spectrum.num_endpoints + 5) == 0
-        with pytest.raises(ValueError):
-            spectrum.survival_error(3)  # not computed yet
+        error = spectrum.survival_error(3)  # computes survival(3) first
+        assert error >= 0
         spectrum.survival(3)
-        assert spectrum.survival_error(3) >= 0
+        assert spectrum.survival_error(3) == error
 
 
 class TestPrecisionAlarm:
     def test_trips_at_low_precision(self):
-        spectrum = endpoint_spectrum(PackSpec(8, 3), max_power=2, mode="decimal", precision=6)
+        spectrum = endpoint_spectrum(PackSpec(8, 3), mode="decimal", precision=6)
         law = exact_pmf_and_expectation(spectrum, tol=1e-9)
         assert law.precision_alarm
         assert spectrum.precision_alarm
         assert spectrum.max_survival_error > spectrum.alarm_threshold
 
     def test_silent_at_adequate_precision(self):
-        spectrum = endpoint_spectrum(PackSpec(8, 3), max_power=2, mode="decimal", precision=50)
+        spectrum = endpoint_spectrum(PackSpec(8, 3), mode="decimal", precision=50)
         law = exact_pmf_and_expectation(spectrum, tol=1e-12)
         assert not law.precision_alarm
         assert spectrum.max_survival_error < spectrum.alarm_threshold
@@ -285,7 +302,7 @@ class TestPrecisionAlarm:
 
 class TestExactLaw:
     def test_one_item_three_colors(self):
-        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3), max_power=2))
+        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3)))
         assert law.model == "exact-oracle"
         assert law.mode == "rational"
         assert law.pmf == {2: Fraction(1, 3), 3: Fraction(4, 9), 4: Fraction(2, 9)}
@@ -294,12 +311,12 @@ class TestExactLaw:
         assert law.last_index == 4
 
     def test_one_item_two_colors(self):
-        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 2), max_power=2))
+        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 2)))
         assert law.pmf == {2: Fraction(1, 2), 3: Fraction(1, 2)}
         assert law.expectation == Fraction(5, 2)
 
     def test_empty_pack_always_matches_second_purchase(self):
-        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(0, 7), max_power=2))
+        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(0, 7)))
         assert law.pmf == {2: Fraction(1)}
         assert law.expectation == 2
         assert law.last_index == 2
@@ -307,7 +324,7 @@ class TestExactLaw:
     def test_rational_laws_are_exact_distributions(self):
         for n, d in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
             law = exact_pmf_and_expectation(
-                endpoint_spectrum(PackSpec(n, d), max_power=2)
+                endpoint_spectrum(PackSpec(n, d))
             )
             assert law.mode == "rational"
             assert law.tail_bound == 0
@@ -342,7 +359,7 @@ class TestExactLaw:
     def test_model_discrepancy_on_enumerable_case(self):
         # Same comparison where collisions are common: the pairwise model is
         # far off (37.8% high), which is why the exact oracle exists.
-        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3), max_power=2))
+        law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3)))
         series = pairwise_expectation(Fraction(1, 3))
         relative = abs(Fraction(series.value) - law.expectation) / law.expectation
         assert relative > Fraction(1, 3)
