@@ -18,14 +18,18 @@ choosing an ordered m-tuple of distinct endpoints. The e_m are evaluated
 through Newton's identities over the endpoint power sums
 ``S_j = sum_v q_v^j``. Endpoints sharing a probability are grouped into
 classes (one class per partition shape), which shrinks the working set by
-orders of magnitude. Small problems run in exact rational arithmetic; larger
-ones use high-precision decimal arithmetic with explicit error-bound
-tracking and a precision alarm.
+orders of magnitude. Small problems run in exact arithmetic: Newton's
+identities on integers (the probabilities share the denominator d**n), with
+exact division by k and one Fraction per survival. Larger ones use
+high-precision decimal arithmetic with a precision alarm and a tracked error
+bound per survival, evaluated with upward rounding at 8 significant digits.
+The law is summed at a fixed 28 significant digits.
 """
 
 from __future__ import annotations
 
 import decimal
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -43,7 +47,21 @@ PAIRWISE_PRECISION = 40
 EXACT_ENDPOINT_LIMIT = 10_000
 ENDPOINT_CEILING = 10_000_000
 
+BOUND_PRECISION = 8
+
 _PAIRWISE_MAX_TERMS = 5_000_000
+# Error bounds: few digits, every operation rounded upward.
+_BOUND_CONTEXT = decimal.Context(
+    prec=BOUND_PRECISION, rounding=decimal.ROUND_CEILING, Emax=10**9, Emin=-(10**9)
+)
+# The first-match law's sums, independent of the caller's decimal context.
+_WALK_CONTEXT = decimal.Context(
+    prec=28,
+    rounding=decimal.ROUND_HALF_EVEN,
+    Emax=10**9,
+    Emin=-(10**9),
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
 
 
 def pairwise_pmf(p: Fraction, length: int) -> Fraction:
@@ -169,14 +187,21 @@ class EndpointSpectrum:
     :meth:`survival_error` grow them up to the index asked for, in any order.
     Construct through :func:`endpoint_spectrum`.
 
-    Two arithmetic modes exist. ``"rational"`` keeps everything as exact
-    Fractions. ``"decimal"`` works at a fixed number of significant digits
-    and tracks a conservative absolute error bound for every survival value;
-    if any bound crosses ``alarm_threshold`` (10**-(precision // 2)) the
-    sticky ``precision_alarm`` flag is raised. In decimal mode, classes whose
-    current power has decayed below 10**-(precision + 12) times the leading
-    class's power are dropped from later power sums, which stays far below
-    the tracked error bounds.
+    Two arithmetic modes exist. ``"rational"`` is exact: the endpoint
+    probabilities are w / D with integer weights w and D = d**n, so it keeps
+    the integer power sums P_j = sum w**j and runs Newton's identities on the
+    integers G_k = D**k * e_k, dividing exactly by k; a survival is the one
+    Fraction k! * G_k / D**k. ``"decimal"`` works at a fixed number of
+    significant digits and tracks a conservative absolute error bound for
+    every survival value. The bound formula is evaluated from 8-digit copies
+    of its inputs with every operation rounded upward (``BOUND_PRECISION``,
+    ROUND_CEILING), so each bound is at least the formula's exact value and
+    has at most 8 significant digits. If any bound crosses
+    ``alarm_threshold`` (10**-(precision // 2)) the sticky
+    ``precision_alarm`` flag is raised. In decimal mode, classes whose current
+    power has decayed below 10**-(precision + 12) times the leading class's
+    power are dropped from later power sums, which stays far below the
+    tracked error bounds.
 
     Instances are not thread-safe; share them only with external locking.
     """
@@ -191,8 +216,10 @@ class EndpointSpectrum:
         self.num_classes = len(classes)
         self._weights = [w for w, _ in classes]
         self._mults = [m for _, m in classes]
+        # Power sums (P_j in rational mode, S_j in decimal mode) and the same
+        # with the Newton sign (-1)**(j - 1) applied.
         self._power_sums: list[Number] = []
-        self._elem: list[Number] = []
+        self._signed_sums: list[Number] = []
         self._surv: list[Number] = []
         self.precision: int | None = None
         self.alarm_threshold: Decimal | None = None
@@ -201,11 +228,12 @@ class EndpointSpectrum:
 
         if mode == "rational":
             self._den = spec.d**spec.n
-            self._int_cur = list(self._weights)
-            self._den_cur = self._den
             if sum(m * w for w, m in classes) != self._den:
                 raise AssertionError(f"endpoint probabilities for {spec} do not sum to 1")
-            self._elem = [Fraction(1)]
+            self._cur = list(self._weights)
+            self._elem = [1]  # G_k = D**k * e_k
+            self._fact = 1
+            self._den_k = 1  # D**k
         else:
             if precision is None:
                 precision = DEFAULT_PRECISION
@@ -221,13 +249,19 @@ class EndpointSpectrum:
                 self._ulp = Decimal(10) ** (1 - precision)
                 self._prune = Decimal(10) ** (-(precision + 12))
                 self.alarm_threshold = Decimal(10) ** (-(precision // 2))
-                self.max_survival_error = Decimal(0)
                 self._elem = [Decimal(1)]
-                self._elem_err: list[Decimal] = [Decimal(0)]
                 self._fact = Decimal(1)
-                self._surv_err: list[Decimal] = []
-                self._srel: list[Decimal] = []
+            self.max_survival_error = Decimal(0)
             self._active = self.num_classes
+            # Error-bound state, all upward-rounded BOUND_PRECISION-digit
+            # values: S_j, S_j * (srel_j + 2 ulp) with srel_j the relative
+            # error of S_j, |e_k|, the bound on e_k's error, and k!.
+            self._sums_up: list[Decimal] = []
+            self._sums_slack: list[Decimal] = []
+            self._elem_up = [Decimal(1)]
+            self._elem_err = [Decimal(0)]
+            self._fact_up = Decimal(1)
+            self._surv_err: list[Decimal] = []
 
     @property
     def precision_alarm(self) -> bool:
@@ -243,6 +277,8 @@ class EndpointSpectrum:
         if j < 1:
             raise ValueError(f"power sum index must be at least 1, got {j}")
         self.ensure_power(j)
+        if self.mode == "rational":
+            return Fraction(self._power_sums[j - 1], self._den**j)
         return self._power_sums[j - 1]
 
     def ensure_power(self, j: int) -> None:
@@ -250,30 +286,30 @@ class EndpointSpectrum:
         if self.mode == "rational":
             while len(self._power_sums) < j:
                 if self._power_sums:
-                    self._int_cur = [
-                        c * w for c, w in zip(self._int_cur, self._weights)
-                    ]
-                    self._den_cur *= self._den
-                total = sum(m * c for m, c in zip(self._mults, self._int_cur))
-                self._power_sums.append(Fraction(total, self._den_cur))
+                    self._cur = list(map(operator.mul, self._cur, self._weights))
+                total = sum(map(operator.mul, self._mults, self._cur))
+                self._power_sums.append(total)
+                self._signed_sums.append(total if len(self._power_sums) % 2 else -total)
             return
         with decimal.localcontext(self._ctx):
             while len(self._power_sums) < j:
-                if self._power_sums:
-                    cur = self._cur
-                    values = self._values
-                    for i in range(self._active):
-                        cur[i] *= values[i]
-                total = Decimal(0)
+                active = self._active
                 cur = self._cur
-                mults = self._dec_mults
-                for i in range(self._active):
-                    total += mults[i] * cur[i]
-                j_new = len(self._power_sums) + 1
+                if self._power_sums:
+                    cur[:active] = map(operator.mul, cur[:active], self._values)
+                total = sum(map(operator.mul, self._dec_mults[:active], cur[:active]))
                 self._power_sums.append(total)
-                # First-order bound: conversion, j_new power roundings, one
-                # product and one add per class, plus the pruning slack.
-                self._srel.append(Decimal(self.num_classes + j_new + 4) * self._ulp)
+                j_new = len(self._power_sums)
+                self._signed_sums.append(total if j_new % 2 else -total)
+                # First-order relative bound on S_j: conversion, j power
+                # roundings, one product and one add per class, plus the
+                # pruning slack; 2 ulp more for the Newton product.
+                with decimal.localcontext(_BOUND_CONTEXT):
+                    total_up = +total
+                    self._sums_up.append(total_up)
+                    self._sums_slack.append(
+                        total_up * (Decimal(self.num_classes + j_new + 6) * self._ulp)
+                    )
                 # Drop classes that can no longer move S at this precision.
                 cutoff = cur[0] * self._prune
                 while self._active > 1 and cur[self._active - 1] < cutoff:
@@ -281,44 +317,45 @@ class EndpointSpectrum:
 
     def _extend_newton(self, m: int) -> None:
         self.ensure_power(m)
+        elem = self._elem
         if self.mode == "rational":
-            while len(self._elem) <= m:
-                k = len(self._elem)
-                acc = Fraction(0)
-                for idx in range(1, k + 1):
-                    term = self._elem[k - idx] * self._power_sums[idx - 1]
-                    acc += term if idx % 2 == 1 else -term
-                e_k = acc / k
-                self._elem.append(e_k)
+            # k * G_k = sum_i (-1)**(i - 1) * G_{k-i} * P_i, in integers.
+            while len(elem) <= m:
+                k = len(elem)
+                total = sum(map(operator.mul, reversed(elem), self._signed_sums))
+                g_k, remainder = divmod(total, k)
+                if remainder:
+                    raise AssertionError(f"Newton step {k} for {self.spec} is not an integer")
+                elem.append(g_k)
+                self._fact *= k
+                self._den_k *= self._den
                 if k >= 2:
-                    self._surv.append(factorial(k) * e_k)
+                    self._surv.append(Fraction(self._fact * g_k, self._den_k))
             return
+        ulp = self._ulp
         with decimal.localcontext(self._ctx):
-            ulp = self._ulp
-            while len(self._elem) <= m:
-                k = len(self._elem)
-                acc = Decimal(0)
-                acc_abs = Decimal(0)
-                err = Decimal(0)
-                for idx in range(1, k + 1):
-                    e_prev = self._elem[k - idx]
-                    s = self._power_sums[idx - 1]
-                    term = e_prev * s
-                    acc += term if idx % 2 == 1 else -term
-                    mag = abs(term)
-                    acc_abs += mag
-                    err += self._elem_err[k - idx] * s
-                    err += mag * (self._srel[idx - 1] + 2 * ulp)
-                err += Decimal(k) * ulp * acc_abs
-                e_k = acc / Decimal(k)
-                self._elem.append(e_k)
-                self._elem_err.append(err / Decimal(k) + 2 * ulp * abs(e_k))
-                self._fact *= Decimal(k)
+            while len(elem) <= m:
+                k = len(elem)
+                e_k = sum(map(operator.mul, reversed(elem), self._signed_sums)) / k
+                self._fact *= k
+                surv = self._fact * e_k
+                with decimal.localcontext(_BOUND_CONTEXT):
+                    # Error of sum_i +-e_{k-i} * S_i: inherited from e_{k-i},
+                    # from S_i and the product, and k additions.
+                    magnitude = sum(map(operator.mul, reversed(self._elem_up), self._sums_up))
+                    err = (
+                        sum(map(operator.mul, reversed(self._elem_err), self._sums_up))
+                        + sum(map(operator.mul, reversed(self._elem_up), self._sums_slack))
+                        + k * ulp * magnitude
+                    )
+                    e_up = abs(e_k)
+                    e_err = err / k + 2 * ulp * e_up
+                    self._elem_up.append(e_up)
+                    self._elem_err.append(e_err)
+                    self._fact_up *= k
+                    surv_err = self._fact_up * e_err + (k + 2) * ulp * abs(surv)
+                elem.append(e_k)
                 if k >= 2:
-                    surv = self._fact * e_k
-                    surv_err = self._fact * self._elem_err[k] + Decimal(
-                        k + 2
-                    ) * ulp * abs(surv)
                     self._surv.append(surv)
                     self._surv_err.append(surv_err)
                     if surv_err > self.max_survival_error:
@@ -346,7 +383,16 @@ class EndpointSpectrum:
         return self._surv[m - 2]
 
     def survival_error(self, m: int) -> Decimal | None:
-        """Tracked absolute error bound for ``survival(m)`` (decimal mode only)."""
+        """Tracked absolute error bound for ``survival(m)`` (decimal mode only).
+
+        The bound has at most ``BOUND_PRECISION`` significant digits; it is 0
+        where ``survival(m)`` is exact, and None in rational mode.
+
+        Raises:
+            ValueError: if ``m`` is negative.
+        """
+        if m < 0:
+            raise ValueError(f"pack count must be non-negative, got {m}")
         if self.mode == "rational":
             return None
         if m <= 1 or m > self.num_endpoints:
@@ -418,42 +464,44 @@ def exact_pmf_and_expectation(
     within num_endpoints + 1 packs) or, in decimal mode, once the survival
     and its geometric tail bound both fall below ``tol``; survival ratios are
     decreasing, which makes the geometric bound valid. The pmf then sums to 1
-    up to the reported tail.
+    up to the reported tail. In decimal mode the walk sums at 28 significant
+    digits, half-even, whatever the caller's decimal context.
     """
     one: Number
     zero: Number
-    if spectrum.mode == "rational":
-        one, zero = Fraction(1), Fraction(0)
-        tolerance: Number = Fraction(Decimal(str(tol)))
-    else:
-        one, zero = Decimal(1), Decimal(0)
-        tolerance = Decimal(str(tol))
-    pmf: dict[int, Number] = {}
-    expectation = one + one  # survivals at m = 0 and m = 1
-    previous = one
-    tail = zero
-    m = 2
-    while True:
-        if m > spectrum.num_endpoints:
-            survival = zero
+    with decimal.localcontext(_WALK_CONTEXT):
+        if spectrum.mode == "rational":
+            one, zero = Fraction(1), Fraction(0)
+            tolerance: Number = Fraction(Decimal(str(tol)))
         else:
-            survival = spectrum.survival(m)
-            if survival < 0:
-                # Roundoff past the bottom of the support; clamp.
+            one, zero = Decimal(1), Decimal(0)
+            tolerance = Decimal(str(tol))
+        pmf: dict[int, Number] = {}
+        expectation = one + one  # survivals at m = 0 and m = 1
+        previous = one
+        tail = zero
+        m = 2
+        while True:
+            if m > spectrum.num_endpoints:
                 survival = zero
-        mass = previous - survival
-        pmf[m] = mass if mass > 0 else zero
-        expectation = expectation + survival
-        if survival == 0:
-            tail = zero
-            break
-        if survival <= tolerance and survival < previous:
-            ratio = survival / previous
-            tail = survival * ratio / (1 - ratio)
-            if tail <= tolerance:
+            else:
+                survival = spectrum.survival(m)
+                if survival < 0:
+                    # Roundoff past the bottom of the support; clamp.
+                    survival = zero
+            mass = previous - survival
+            pmf[m] = mass if mass > 0 else zero
+            expectation = expectation + survival
+            if survival == 0:
+                tail = zero
                 break
-        previous = survival
-        m += 1
+            if survival <= tolerance and survival < previous:
+                ratio = survival / previous
+                tail = survival * ratio / (1 - ratio)
+                if tail <= tolerance:
+                    break
+            previous = survival
+            m += 1
     return FirstMatchLaw(
         model="exact-oracle",
         mode=spectrum.mode,

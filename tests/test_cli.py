@@ -205,6 +205,23 @@ class TestExpect:
         numerator, _ = record["exact"]["tail_bound"].split("/")
         assert len(numerator) > 4300
 
+    def test_exact_decimal_golden(self):
+        record = run_json("expect", "--n", "10", "--d", "10", "--model", "exact")
+        exact = record["exact"]
+        assert exact["mode"] == "decimal"
+        assert exact["expectation"] == "215.8800814048167737940207654"
+        assert exact["tail_bound"] == "9.601324364902163106659309485E-13"
+        assert exact["last_index"] == 1351
+        assert exact["precision_alarm"] is False
+
+    def test_exact_rational_golden(self):
+        golden = Path(__file__).resolve().parent / "golden" / "expect_n7_d7_exact.json"
+        code, out, _ = run_cli(
+            "expect", "--n", "7", "--d", "7", "--model", "exact", "--format", "json"
+        )
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_trivial_empty_pack(self):
         record = run_json("expect", "--n", "0", "--d", "2", "--model", "exact")
         assert Fraction(record["exact"]["expectation"]) == 2

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from packmatch.coincidence import (
 )
 from packmatch.exactmath import factorial
 from packmatch.firstmatch import (
+    BOUND_PRECISION,
     DEFAULT_PRECISION,
     EXACT_ENDPOINT_LIMIT,
     PackSizeDistribution,
@@ -33,6 +36,26 @@ def pairwise_term(p: Fraction, index: int) -> Fraction:
     """Exact expectation-series term: l * (l-1) * p * (1-p)^C(l-1, 2)."""
     exponent = (index - 1) * (index - 2) // 2
     return index * (index - 1) * p * (1 - p) ** exponent
+
+
+def product_survival(spec: PackSpec, m: int) -> Fraction:
+    """m! * e_m(q) from the product prod_v (1 + w_v x), without Newton's identities.
+
+    ``w_v = D * q_v`` are the integer endpoint weights, ``D = d**n``; endpoints
+    with equal weights are expanded together as binomials (1 + w x)**mult.
+    """
+    den = spec.d**spec.n
+    weights = Counter(
+        (endpoint_probability(spec, c) * den).numerator for c in compositions(spec)
+    )
+    poly = [1] + [0] * m
+    for weight, mult in weights.items():
+        factor = [math.comb(mult, j) * weight**j for j in range(min(mult, m) + 1)]
+        poly = [
+            sum(poly[i - j] * factor[j] for j in range(min(i, len(factor) - 1) + 1))
+            for i in range(m + 1)
+        ]
+    return Fraction(math.factorial(m) * poly[m], den**m)
 
 
 class TestPairwisePmf:
@@ -253,17 +276,35 @@ class TestExactSurvival:
                 )
                 assert spectrum.survival(m) == factorial(m) * direct
 
+    def test_integer_newton_matches_product_expansion(self):
+        for n, d in [(5, 4), (6, 3)]:
+            spec = PackSpec(n, d)
+            spectrum = endpoint_spectrum(spec, mode="rational")
+            support = spectrum.num_endpoints
+            for m in range(support + 2):
+                expected = product_survival(spec, m) if m <= support else 0
+                assert spectrum.survival(m) == expected, (n, d, m)
+        long_walk = endpoint_spectrum(PackSpec(7, 7))
+        assert long_walk.mode == "rational"
+        assert long_walk.survival(216) == product_survival(PackSpec(7, 7), 216)
+
     def test_decimal_mode_matches_rational_within_tracked_error(self):
-        spec = PackSpec(3, 3)
-        exact = endpoint_spectrum(spec)
-        approx = endpoint_spectrum(spec, mode="decimal", precision=40)
-        for m in range(2, 11):
-            reference = exact.survival(m)
-            value = approx.survival(m)
-            error = approx.survival_error(m)
-            assert error is not None and error >= 0
-            assert abs(Fraction(value) - reference) <= Fraction(error)
-            assert error < Decimal("1e-20")
+        for precision in (30, 40):
+            for n, d in [(3, 3), (5, 4), (6, 3)]:
+                spec = PackSpec(n, d)
+                exact = endpoint_spectrum(spec, mode="rational")
+                approx = endpoint_spectrum(spec, mode="decimal", precision=precision)
+                law = exact_pmf_and_expectation(approx)
+                for m in range(law.last_index + 1):
+                    error = approx.survival_error(m)
+                    gap = abs(Fraction(approx.survival(m)) - exact.survival(m))
+                    assert gap <= Fraction(error), (precision, n, d, m)
+                    assert len(error.as_tuple().digits) <= BOUND_PRECISION
+                    if precision == 40:
+                        assert error < Decimal("1e-20")
+                assert law.survival_error == max(
+                    approx.survival_error(m) for m in range(law.last_index + 1)
+                )
 
     def test_survival_error_reporting(self):
         rational = endpoint_spectrum(PackSpec(2, 2))
@@ -274,6 +315,9 @@ class TestExactSurvival:
         assert spectrum.survival_error(0) == 0
         assert spectrum.survival_error(1) == 0
         assert spectrum.survival_error(spectrum.num_endpoints + 5) == 0
+        for either_mode in (rational, spectrum):
+            with pytest.raises(ValueError, match="pack count must be non-negative"):
+                either_mode.survival_error(-1)
         error = spectrum.survival_error(3)  # computes survival(3) first
         assert error >= 0
         spectrum.survival(3)
@@ -344,6 +388,16 @@ class TestExactLaw:
         total = sum(headline_law.pmf.values())
         assert abs(float(total) - 1.0) < 1e-11
         assert headline_law.last_index == max(headline_law.pmf)
+
+    def test_decimal_law_ignores_ambient_context(self):
+        spec = PackSpec(20, 4)
+        reference = exact_pmf_and_expectation(endpoint_spectrum(spec, mode="decimal"))
+        assert str(reference.expectation) == "20.94810819474507940551356887"
+        with decimal.localcontext() as ambient:
+            ambient.prec = 6
+            ambient.rounding = decimal.ROUND_FLOOR
+            law = exact_pmf_and_expectation(endpoint_spectrum(spec, mode="decimal"))
+        assert repr(law) == repr(reference)
 
     def test_pairwise_model_approaches_oracle_when_collisions_are_rare(
         self, headline_probability, headline_law
