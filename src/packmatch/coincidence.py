@@ -21,6 +21,10 @@ from typing import Iterator, Sequence
 
 from .exactmath import binomial, factorial, multinomial
 
+# Work that walks every endpoint (the closed route, the exact oracle's
+# spectrum) is refused above this many endpoints.
+ENDPOINT_CEILING = 10_000_000
+
 
 @dataclass(frozen=True)
 class PackSpec:
@@ -141,8 +145,18 @@ def count_closed(spec: PackSpec) -> int:
     depth-first walk over the colors, extending a running product of binomial
     factors one color at a time so no multinomial is recomputed from scratch.
     The walk keeps an explicit stack, so its depth is not bounded by ``d``.
+
+    Raises:
+        ValueError: when the endpoint count exceeds ``ENDPOINT_CEILING``
+            (10**7); the walk takes about one step per endpoint.
     """
     n, d = spec.n, spec.d
+    count = distinct_pack_count(spec)
+    if count > ENDPOINT_CEILING:
+        raise ValueError(
+            f"{spec} has {count} distinct endpoints, above the closed route's ceiling "
+            f"{ENDPOINT_CEILING}; use --route recursive or --route gf"
+        )
     if d == 1:
         # Both packs are forced to the single endpoint (n,).
         return 1

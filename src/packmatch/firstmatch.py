@@ -22,8 +22,11 @@ orders of magnitude. Small problems run in exact arithmetic: Newton's
 identities on integers (the probabilities share the denominator d**n), with
 exact division by k and one Fraction per survival. Larger ones use
 high-precision decimal arithmetic with a precision alarm and a tracked error
-bound per survival, evaluated with upward rounding at 8 significant digits.
-The law is summed at a fixed 28 significant digits.
+bound per survival. One recurrence bounds them all: Newton's identities with
+every sign positive, run at 8 significant digits with upward rounding on
+upper bounds of the power sums, bound the complete homogeneous polynomials
+h_k >= e_k, and the error of each e_k is proportional to h_k. The law is
+summed at a fixed 28 significant digits.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .coincidence import PackSpec, coincidence_probability, distinct_pack_count
+from .coincidence import (
+    ENDPOINT_CEILING,
+    PackSpec,
+    coincidence_probability,
+    distinct_pack_count,
+)
 from .exactmath import factorial, multinomial
 
 Number = Union[Fraction, Decimal]
@@ -45,7 +53,6 @@ DEFAULT_TOLERANCE = 1e-12
 DEFAULT_PRECISION = 128
 PAIRWISE_PRECISION = 40
 EXACT_ENDPOINT_LIMIT = 10_000
-ENDPOINT_CEILING = 10_000_000
 
 BOUND_PRECISION = 8
 
@@ -107,12 +114,24 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
     decreasing in l, so the geometric bound is valid from the stopping index.
     The sum runs at ``PAIRWISE_PRECISION`` significant digits.
 
+    The ratio can only drop below 1 once l**2 > 1 + 2 / p: Bernoulli's
+    inequality (1 - p)^(l - 1) >= 1 - (l - 1) p turns r < 1 into
+    (l**2 - 1) p > 2. So when p is too small for any l up to
+    ``_PAIRWISE_MAX_TERMS`` to pass that test, the call fails before summing.
+
     Raises:
-        ValueError: if ``p`` is not in (0, 1] (the series diverges at p = 0).
+        ValueError: if ``p`` is not in (0, 1] (the series diverges at p = 0),
+            or if the series cannot stop within ``_PAIRWISE_MAX_TERMS`` terms.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError(f"pair match probability must lie in (0, 1], got {p}")
+    if p * (_PAIRWISE_MAX_TERMS**2 - 1) <= 2:
+        raise ValueError(
+            f"pairwise expectation needs more than {_PAIRWISE_MAX_TERMS} terms at pair "
+            f"probability {float(p):.6g}: its term ratio stays at or above 1 until "
+            "l**2 > 1 + 2/p"
+        )
     ctx = decimal.Context(prec=PAIRWISE_PRECISION, Emax=10**9, Emin=-(10**9))
     with decimal.localcontext(ctx):
         pd = Decimal(p.numerator) / Decimal(p.denominator)
@@ -134,9 +153,8 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
             step *= omp
             index += 1
             if index > _PAIRWISE_MAX_TERMS:
-                raise RuntimeError(
-                    "pairwise expectation did not converge within "
-                    f"{_PAIRWISE_MAX_TERMS} terms; raise tol"
+                raise ValueError(
+                    f"pairwise expectation did not converge within {_PAIRWISE_MAX_TERMS} terms"
                 )
 
 
@@ -193,15 +211,31 @@ class EndpointSpectrum:
     integers G_k = D**k * e_k, dividing exactly by k; a survival is the one
     Fraction k! * G_k / D**k. ``"decimal"`` works at a fixed number of
     significant digits and tracks a conservative absolute error bound for
-    every survival value. The bound formula is evaluated from 8-digit copies
-    of its inputs with every operation rounded upward (``BOUND_PRECISION``,
+    every survival value. If any bound crosses ``alarm_threshold``
+    (10**-(precision // 2)) the sticky ``precision_alarm`` flag is raised. In
+    decimal mode, classes whose current power has decayed below
+    10**-(precision + 12) times the leading class's power are dropped from
+    later power sums, which stays far below the tracked error bounds.
+
+    The decimal bound, to first order in ulp = 10**(1 - precision), with N
+    the number of classes. Each computed power sum has relative error at
+    most sigma_j = (N + j + 6) ulp (conversion, j power roundings, one
+    product and one add per class, and the pruning slack), so the computed
+    S_j times (1 + sigma_j) is an upper bound S+_j on the exact S_j. Newton's
+    identities with every sign positive, k H_k = sum_i H_{k-i} S+_i with
+    H_0 = 1, give H_k >= h_k >= e_k, where h_k is the complete homogeneous
+    polynomial of the probabilities. If every earlier e_j is off by at most
+    c_j ulp h_j, the k-th Newton step inherits at most c_{k-1} ulp k h_k
+    from the e_{k-i}, (N + k + 6) ulp k h_k from the S_i, k ulp k h_k from
+    its k products and additions, and after the division by k another
+    2 ulp h_k (its rounding, and one ulp to spare). So
+    c_k = c_{k-1} + N + 2k + 8, that is c_k = k (N + k + 9). The survival
+    k! e_k adds (k + 2) ulp of its own value for k! and the product, hence
+    ``survival_error(k) = ulp (k (N + k + 9) k! H_k + (k + 2) |surv_k|)``.
+    S+_j, H_k, k! and the bound itself are evaluated with every operation
+    rounded upward at 8 significant digits (``BOUND_PRECISION``,
     ROUND_CEILING), so each bound is at least the formula's exact value and
-    has at most 8 significant digits. If any bound crosses
-    ``alarm_threshold`` (10**-(precision // 2)) the sticky
-    ``precision_alarm`` flag is raised. In decimal mode, classes whose current
-    power has decayed below 10**-(precision + 12) times the leading class's
-    power are dropped from later power sums, which stays far below the
-    tracked error bounds.
+    has at most 8 significant digits.
 
     Instances are not thread-safe; share them only with external locking.
     """
@@ -254,12 +288,10 @@ class EndpointSpectrum:
             self.max_survival_error = Decimal(0)
             self._active = self.num_classes
             # Error-bound state, all upward-rounded BOUND_PRECISION-digit
-            # values: S_j, S_j * (srel_j + 2 ulp) with srel_j the relative
-            # error of S_j, |e_k|, the bound on e_k's error, and k!.
+            # values: upper bounds S+_j on the exact S_j, the complete
+            # homogeneous bounds H_k, and k!.
             self._sums_up: list[Decimal] = []
-            self._sums_slack: list[Decimal] = []
-            self._elem_up = [Decimal(1)]
-            self._elem_err = [Decimal(0)]
+            self._homog_up = [Decimal(1)]
             self._fact_up = Decimal(1)
             self._surv_err: list[Decimal] = []
 
@@ -303,13 +335,10 @@ class EndpointSpectrum:
                 self._signed_sums.append(total if j_new % 2 else -total)
                 # First-order relative bound on S_j: conversion, j power
                 # roundings, one product and one add per class, plus the
-                # pruning slack; 2 ulp more for the Newton product.
+                # pruning slack.
                 with decimal.localcontext(_BOUND_CONTEXT):
-                    total_up = +total
-                    self._sums_up.append(total_up)
-                    self._sums_slack.append(
-                        total_up * (Decimal(self.num_classes + j_new + 6) * self._ulp)
-                    )
+                    sigma = Decimal(self.num_classes + j_new + 6) * self._ulp
+                    self._sums_up.append(total * (1 + sigma))
                 # Drop classes that can no longer move S at this precision.
                 cutoff = cur[0] * self._prune
                 while self._active > 1 and cur[self._active - 1] < cutoff:
@@ -332,7 +361,8 @@ class EndpointSpectrum:
                 if k >= 2:
                     self._surv.append(Fraction(self._fact * g_k, self._den_k))
             return
-        ulp = self._ulp
+        homog = self._homog_up
+        num_classes = self.num_classes
         with decimal.localcontext(self._ctx):
             while len(elem) <= m:
                 k = len(elem)
@@ -340,20 +370,13 @@ class EndpointSpectrum:
                 self._fact *= k
                 surv = self._fact * e_k
                 with decimal.localcontext(_BOUND_CONTEXT):
-                    # Error of sum_i +-e_{k-i} * S_i: inherited from e_{k-i},
-                    # from S_i and the product, and k additions.
-                    magnitude = sum(map(operator.mul, reversed(self._elem_up), self._sums_up))
-                    err = (
-                        sum(map(operator.mul, reversed(self._elem_err), self._sums_up))
-                        + sum(map(operator.mul, reversed(self._elem_up), self._sums_slack))
-                        + k * ulp * magnitude
-                    )
-                    e_up = abs(e_k)
-                    e_err = err / k + 2 * ulp * e_up
-                    self._elem_up.append(e_up)
-                    self._elem_err.append(e_err)
+                    # k * H_k = sum_i H_{k-i} * S+_i, and e_k is off by at most
+                    # k * (N + k + 9) * ulp * H_k (see the class docstring).
+                    homog.append(sum(map(operator.mul, reversed(homog), self._sums_up)) / k)
                     self._fact_up *= k
-                    surv_err = self._fact_up * e_err + (k + 2) * ulp * abs(surv)
+                    surv_err = self._ulp * (
+                        k * (num_classes + k + 9) * self._fact_up * homog[k] + (k + 2) * abs(surv)
+                    )
                 elem.append(e_k)
                 if k >= 2:
                     self._surv.append(surv)
@@ -482,13 +505,10 @@ def exact_pmf_and_expectation(
         tail = zero
         m = 2
         while True:
-            if m > spectrum.num_endpoints:
+            survival = spectrum.survival(m)
+            if survival < 0:
+                # Roundoff past the bottom of the support; clamp.
                 survival = zero
-            else:
-                survival = spectrum.survival(m)
-                if survival < 0:
-                    # Roundoff past the bottom of the support; clamp.
-                    survival = zero
             mass = previous - survival
             pmf[m] = mass if mass > 0 else zero
             expectation = expectation + survival

@@ -18,7 +18,7 @@ import pytest
 
 import packmatch
 from packmatch import cli
-from packmatch.coincidence import PackSpec, coincidence_probability
+from packmatch.coincidence import PackSpec, coincidence_probability, count_recursive
 from packmatch.exactmath import decimal_string
 from packmatch.firstmatch import FirstMatchLaw
 
@@ -43,6 +43,24 @@ def run_json(*argv: str) -> dict:
     code, out, err = run_cli(*argv, "--format", "json")
     assert code == 0, err
     return json.loads(out)
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the imported packmatch's source root first on PYTHONPATH."""
+    env = dict(os.environ)
+    source_root = str(Path(packmatch.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``python -m packmatch`` in a child process, capturing bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "packmatch", *argv],
+        capture_output=True,
+        env=child_env(),
+        timeout=timeout,
+    )
 
 
 class TestTable:
@@ -161,6 +179,20 @@ class TestProb:
         assert record["counts"] == {"closed": "2000", "recursive": "2000", "gf": "2000"}
         assert record["count"] == "2000"
 
+    def test_closed_route_refuses_above_endpoint_ceiling(self):
+        # C(59, 29) endpoints: the closed route's walk would take years.
+        refused = run_module("prob", "--n", "30", "--d", "30", timeout=5)
+        assert refused.returncode == 2
+        assert refused.stdout == b""
+        assert b"--route recursive" in refused.stderr
+        answered = run_module(
+            "prob", "--n", "30", "--d", "30", "--route", "recursive", "--format", "json",
+            timeout=5,
+        )
+        assert answered.returncode == 0, answered.stderr
+        expected = count_recursive(PackSpec(30, 30))
+        assert json.loads(answered.stdout)["count"] == str(expected)
+
     def test_validation_exit_code(self):
         assert run_cli("prob", "--n", "-1", "--d", "3")[0] == 2
 
@@ -213,6 +245,7 @@ class TestExpect:
         assert exact["tail_bound"] == "9.601324364902163106659309485E-13"
         assert exact["last_index"] == 1351
         assert exact["precision_alarm"] is False
+        assert exact["survival_error"] == "9.9004844E-108"
 
     def test_exact_rational_golden(self):
         golden = Path(__file__).resolve().parent / "golden" / "expect_n7_d7_exact.json"
@@ -252,6 +285,16 @@ class TestExpect:
         assert out == ""
         assert "ceiling" in err
         assert "endpoint_ceiling" not in err
+
+    def test_unreachable_pairwise_series_fails_fast(self):
+        # p ~ 7e-16: the series' term ratio stays above 1 past its term cap.
+        result = run_module(
+            "expect", "--n", "30", "--d", "30", "--model", "pairwise", timeout=5
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert b"more than 5000000 terms" in result.stderr
+        assert b"raise tol" not in result.stderr
 
     def test_tolerance_validation(self):
         assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "0")[0] == 2
@@ -406,11 +449,7 @@ class TestExitCodesAndPlumbing:
             scripts = tomllib.load(handle)["project"]["scripts"]
         module, _, attr = scripts["packmatch"].partition(":")
 
-        env = dict(os.environ)
-        source_root = str(Path(packmatch.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [source_root, env.get("PYTHONPATH")])
-        )
+        env = child_env()
         wrapper = (
             f"import sys\nfrom {module} import {attr}\n"
             f"sys.argv[0] = 'packmatch'\nsys.exit({attr}())\n"
@@ -435,11 +474,7 @@ class TestExitCodesAndPlumbing:
 
 class TestSubprocessDeterminism:
     def run_argv(self, argv: list[str]) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "packmatch", *argv],
-            capture_output=True,
-            timeout=120,
-        )
+        return run_module(*argv)
 
     def test_help_exits_zero(self):
         result = self.run_argv(["--help"])
@@ -456,7 +491,7 @@ class TestSubprocessDeterminism:
             "packmatch.montecarlo.first_match_experiment\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, timeout=120
+            [sys.executable, "-c", script], capture_output=True, env=child_env(), timeout=120
         )
         assert result.returncode == 0, result.stderr
 

@@ -130,6 +130,10 @@ class TestPairwiseExpectation:
             pairwise_expectation(Fraction(0))
         with pytest.raises(ValueError):
             pairwise_expectation(Fraction(5, 4))
+        # The term ratio stays >= 1 for every l <= 5 * 10**6 at this p, so
+        # the series cannot stop within its term cap: refused before summing.
+        with pytest.raises(ValueError, match="more than 5000000 terms"):
+            pairwise_expectation(Fraction(2, 5_000_000**2 - 1))
 
 
 class TestEndpointSpectrum:
@@ -289,16 +293,23 @@ class TestExactSurvival:
         assert long_walk.survival(216) == product_survival(PackSpec(7, 7), 216)
 
     def test_decimal_mode_matches_rational_within_tracked_error(self):
-        for precision in (30, 40):
-            for n, d in [(3, 3), (5, 4), (6, 3)]:
-                spec = PackSpec(n, d)
-                exact = endpoint_spectrum(spec, mode="rational")
+        # Every n <= 10, 2 <= d <= 6 with at most 300 endpoints: 41 shapes.
+        shapes = [
+            PackSpec(n, d)
+            for d in range(2, 7)
+            for n in range(1, 11)
+            if distinct_pack_count(PackSpec(n, d)) <= 300
+        ]
+        assert len(shapes) == 41
+        for spec in shapes:
+            exact = endpoint_spectrum(spec, mode="rational")
+            for precision in (8, 10, 12, 16, 20, 30, 40):
                 approx = endpoint_spectrum(spec, mode="decimal", precision=precision)
                 law = exact_pmf_and_expectation(approx)
                 for m in range(law.last_index + 1):
                     error = approx.survival_error(m)
                     gap = abs(Fraction(approx.survival(m)) - exact.survival(m))
-                    assert gap <= Fraction(error), (precision, n, d, m)
+                    assert gap <= Fraction(error), (precision, spec, m)
                     assert len(error.as_tuple().digits) <= BOUND_PRECISION
                     if precision == 40:
                         assert error < Decimal("1e-20")
