@@ -8,8 +8,11 @@ match exactly when their endpoints coincide.
 
 The ordered sample space for a pack pair has ``d ** (2 n)`` elements. This
 module counts the matching pairs by three algorithmically independent routes
-(a closed-form sum of squared multinomials, a recursion over colors, and a
-generating-function coefficient extraction) and divides exactly.
+and divides exactly: the closed-form sum of squared multinomials, taken one
+partition class of endpoints at a time with Pascal-row weights; a recursion
+over colors, built column by column; and the generating-function coefficient,
+reached by a one-pass power recurrence with multiplicative binomials. No
+route calls another, so their agreement is a check.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactmath import binomial, factorial, multinomial
+from .exactmath import binomial, multinomial
 
-# Work that walks every endpoint (the closed route, the exact oracle's
-# spectrum) is refused above this many endpoints.
+# The closed route and the exact oracle's spectrum refuse shapes with more
+# endpoints than this: a documented resource limit.
 ENDPOINT_CEILING = 10_000_000
 
 
@@ -138,93 +141,131 @@ def count_recursive(spec: PackSpec) -> int:
     return column[spec.n]
 
 
+def _pascal_rows(n: int, d: int) -> list[list[int] | None]:
+    """Pascal rows the class walk reads; row m, when kept, lists C(m, k).
+
+    The first part reads row n; deeper parts read rows up to n - ceil(n/d),
+    and the last of the d parts is forced (C(m, m) = 1), so for d <= 2 only
+    row n is kept. Rows are built by addition only, one from the previous.
+    """
+    keep = n - -(-n // d) if d > 2 else -1
+    rows: list[list[int] | None] = [None] * (n + 1)
+    row = [1]
+    for m in range(n + 1):
+        if m <= keep or m == n:
+            rows[m] = row
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    return rows
+
+
+def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
+    """Yield (weight, size) for each partition class of endpoints.
+
+    Endpoints whose sorted counts agree form one class: a partition of ``n``
+    into at most ``d`` positive parts, padded with zeros. Every endpoint of
+    the class has the multinomial weight n! / prod(part!), and the class holds
+    d! / ((d - k)! * prod(run!)) endpoints, where k is the number of parts and
+    the runs are the groups of equal parts. The sizes sum to
+    C(n + d - 1, d - 1). Classes come in a fixed order, one per partition;
+    distinct classes may share a weight.
+
+    The walk places parts in non-increasing order from an explicit stack, so
+    its depth is not bounded by ``d``. Each entry carries the weight so far
+    (a product of Pascal-row entries C(remaining, part)) and the arrangement
+    count so far, updated as arr * (d - placed) // run, which stays an
+    integer because it is the multinomial coefficient of the placed runs and
+    the free slots. A part is at least the remaining items divided by the
+    free slots, so every branch ends in a class.
+    """
+    n, d = spec.n, spec.d
+    if n == 0 or d == 1:
+        # One class: all zeros, or every item in the single color.
+        yield 1, 1
+        return
+    rows = _pascal_rows(n, d)
+    # (items remaining, previous part, parts placed, run of the previous
+    # part, weight, arrangements)
+    stack = [(n, n, 0, 0, 1, 1)]
+    while stack:
+        remaining, previous, placed, run, weight, arr = stack.pop()
+        free = d - placed
+        if free == 1:
+            # The last part takes what is left: C(remaining, remaining) = 1.
+            run = run + 1 if remaining == previous else 1
+            yield weight, arr // run
+            continue
+        row = rows[remaining]
+        for part in range(min(previous, remaining), -(-remaining // free) - 1, -1):
+            grown = run + 1 if part == previous else 1
+            if part == remaining:
+                yield weight, arr * free // grown
+            else:
+                stack.append(
+                    (remaining - part, part, placed + 1, grown,
+                     weight * row[part], arr * free // grown)
+                )
+
+
 def count_closed(spec: PackSpec) -> int:
     """Matching-pair count as the closed-form sum of squared multinomials.
 
-    Evaluates sum over endpoints of multinomial(n; endpoint)^2 by a
-    depth-first walk over the colors, extending a running product of binomial
-    factors one color at a time so no multinomial is recomputed from scratch.
-    The walk keeps an explicit stack, so its depth is not bounded by ``d``.
+    Evaluates sum over endpoints of multinomial(n; endpoint)^2 one partition
+    class at a time: every endpoint of a class has the same weight, so the
+    class adds size * weight^2 (see :func:`partition_classes`). The class
+    sizes must add up to the endpoint count C(n + d - 1, d - 1).
 
     Raises:
         ValueError: when the endpoint count exceeds ``ENDPOINT_CEILING``
-            (10**7); the walk takes about one step per endpoint.
+            (10**7), a documented limit of this route.
+        AssertionError: if the class sizes do not add up to the endpoint
+            count.
     """
-    n, d = spec.n, spec.d
     count = distinct_pack_count(spec)
     if count > ENDPOINT_CEILING:
         raise ValueError(
             f"{spec} has {count} distinct endpoints, above the closed route's ceiling "
             f"{ENDPOINT_CEILING}; use --route recursive or --route gf"
         )
-    if d == 1:
-        # Both packs are forced to the single endpoint (n,).
-        return 1
-    # Pascal rows 0..n; row[m][k] = C(m, k). Addition only, exact.
-    rows: list[list[int]] = [[1]]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, m)] + [1])
     total = 0
-    stack = [(n, d, 1)]  # (items remaining, colors left, product so far)
-    while stack:
-        remaining, colors_left, partial = stack.pop()
-        row = rows[remaining]
-        if colors_left == 2 or remaining == 0:
-            # Each choice here fixes the rest: the last color takes whatever
-            # this one leaves, and with nothing left every color takes 0.
-            for c in row:
-                term = partial * c
-                total += term * term
-        else:
-            for k, c in enumerate(row):
-                stack.append((remaining - k, colors_left - 1, partial * c))
+    sizes = 0
+    for weight, size in partition_classes(spec):
+        total += size * weight * weight
+        sizes += size
+    if sizes != count:
+        raise AssertionError(f"partition classes of {spec} hold {sizes} endpoints, not {count}")
     return total
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction], degree: int) -> list[Fraction]:
-    """Product of coefficient lists, truncated beyond ``degree``."""
-    out = [Fraction(0)] * (degree + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = min(degree - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
 
 
 def count_gf(spec: PackSpec) -> int:
     """Matching-pair count via generating functions.
 
-    The count equals (n!)^2 times the coefficient of x^(2n) in
-    (sum_k x^(2k) / (k!)^2) ** d. The base series is truncated at degree 2n,
-    which is exact for this coefficient, and the power is taken by binary
-    exponentiation over rational coefficient lists.
+    The count equals (n!)^2 times the coefficient f_n of y^n in B(y)**d,
+    with B(y) = sum_k y^k / (k!)^2. The power is taken in one pass by
+    J.C.P. Miller's recurrence for powers of a power series (Knuth, TAOCP
+    vol. 2, section 4.7), which follows from B * (B**d)' = d * B' * B**d.
+    Scaled by (k!)^2, N_k = (k!)^2 f_k stays an integer:
+    k * N_k = sum_{i=1..k} ((d + 1) * i - k) * C(k, i)^2 * N_{k-i}, with
+    N_0 = 1, and N_n is the count. C(k, i) is updated multiplicatively along
+    each sum.
+
+    Raises:
+        AssertionError: if a step's sum is not divisible by k.
     """
     n, d = spec.n, spec.d
-    degree = 2 * n
-    base = [Fraction(0)] * (degree + 1)
-    for k in range(n + 1):
-        base[2 * k] = Fraction(1, factorial(k) ** 2)
-    result = [Fraction(1)] + [Fraction(0)] * degree
-    power = base
-    e = d
-    while e:
-        if e & 1:
-            result = _poly_mul(result, power, degree)
-        e >>= 1
-        if e:
-            power = _poly_mul(power, power, degree)
-    coefficient = result[degree]
-    value = coefficient * factorial(n) ** 2
-    if value.denominator != 1:
-        raise AssertionError(
-            f"generating-function count for {spec} is not an integer: {value}"
-        )
-    return value.numerator
+    numbers = [1]
+    for k in range(1, n + 1):
+        total = 0
+        c = 1
+        for i in range(1, k + 1):
+            c = c * (k - i + 1) // i
+            total += ((d + 1) * i - k) * c * c * numbers[k - i]
+        value, remainder = divmod(total, k)
+        if remainder:
+            raise AssertionError(
+                f"generating-function step {k} for {spec} is not an integer: {total}/{k}"
+            )
+        numbers.append(value)
+    return numbers[n]
 
 
 def coincidence_probability(spec: PackSpec) -> Fraction:

@@ -32,20 +32,20 @@ summed at a fixed 28 significant digits.
 from __future__ import annotations
 
 import decimal
+import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .coincidence import (
     ENDPOINT_CEILING,
     PackSpec,
     coincidence_probability,
     distinct_pack_count,
+    partition_classes,
 )
-from .exactmath import factorial, multinomial
 
 Number = Union[Fraction, Decimal]
 
@@ -57,6 +57,9 @@ EXACT_ENDPOINT_LIMIT = 10_000
 BOUND_PRECISION = 8
 
 _PAIRWISE_MAX_TERMS = 5_000_000
+# The pairwise gate's lower bound on a term: 30 digits, rounded outward.
+_GATE_UP = decimal.Context(prec=30, rounding=decimal.ROUND_CEILING, Emax=10**9, Emin=-(10**9))
+_GATE_DOWN = decimal.Context(prec=30, rounding=decimal.ROUND_FLOOR, Emax=10**9, Emin=-(10**9))
 # Error bounds: few digits, every operation rounded upward.
 _BOUND_CONTEXT = decimal.Context(
     prec=BOUND_PRECISION, rounding=decimal.ROUND_CEILING, Emax=10**9, Emin=-(10**9)
@@ -104,6 +107,25 @@ class SeriesExpectation:
     last_index: int
 
 
+def _pairwise_term_floor(p: Fraction, index: int) -> Decimal:
+    """A lower bound on what the pairwise series computes as its term at ``index``.
+
+    Evaluates L(l) = l (l - 1) p exp(-C(l-1, 2) p / (1 - p)) for 0 < p < 1 at
+    30 digits: p / (1 - p) rounded up, the exponent, p and the products
+    rounded down, and exp (correctly rounded) stepped one unit down.
+    The result is then scaled by 1 - 10**-20, which covers the relative
+    rounding of the series' own ``PAIRWISE_PRECISION``-digit term (below
+    10**-26 for up to ``_PAIRWISE_MAX_TERMS`` terms).
+    """
+    down = _GATE_DOWN
+    pairs = (index - 1) * (index - 2) // 2
+    odds = _GATE_UP.divide(Decimal(p.numerator), Decimal(p.denominator - p.numerator))
+    decay = down.next_minus(down.exp(down.multiply(Decimal(-pairs), odds)))
+    p_low = down.divide(Decimal(p.numerator), Decimal(p.denominator))
+    term = down.multiply(down.multiply(Decimal(index * (index - 1)), p_low), decay)
+    return down.subtract(term, down.scaleb(term, -20))
+
+
 def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesExpectation:
     """Expectation of the pairwise model, summed until the tail is provably small.
 
@@ -118,6 +140,12 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
     inequality (1 - p)^(l - 1) >= 1 - (l - 1) p turns r < 1 into
     (l**2 - 1) p > 2. So when p is too small for any l up to
     ``_PAIRWISE_MAX_TERMS`` to pass that test, the call fails before summing.
+    It also fails before summing when no such l can have a term below
+    ``tol``: since -ln(1 - p) <= p / (1 - p), every term is at least
+    L(l) = l (l - 1) p exp(-C(l-1, 2) p / (1 - p)), and L is unimodal in l
+    (its logarithm is concave), so L > tol at both ends of
+    [isqrt(floor(1 + 2 / p)), ``_PAIRWISE_MAX_TERMS``] means L > tol on all
+    of it. See :func:`_pairwise_term_floor` for the rounding.
 
     Raises:
         ValueError: if ``p`` is not in (0, 1] (the series diverges at p = 0),
@@ -132,11 +160,20 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
             f"probability {float(p):.6g}: its term ratio stays at or above 1 until "
             "l**2 > 1 + 2/p"
         )
+    tolerance = Decimal(str(tol))
+    first = max(2, math.isqrt(math.floor(1 + 2 / p)))
+    if p < 1 and all(
+        _pairwise_term_floor(p, index) > tolerance for index in (first, _PAIRWISE_MAX_TERMS)
+    ):
+        raise ValueError(
+            f"pairwise expectation needs more than {_PAIRWISE_MAX_TERMS} terms at pair "
+            f"probability {float(p):.6g}: every term from l = {first} on stays above "
+            f"the tolerance {tol}"
+        )
     ctx = decimal.Context(prec=PAIRWISE_PRECISION, Emax=10**9, Emin=-(10**9))
     with decimal.localcontext(ctx):
         pd = Decimal(p.numerator) / Decimal(p.denominator)
         omp = 1 - pd
-        tolerance = Decimal(str(tol))
         total = Decimal(0)
         power = Decimal(1)  # (1 - p)^C(l-1, 2)
         step = omp  # (1 - p)^(l - 1)
@@ -158,37 +195,18 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
                 )
 
 
-def _partitions_descending(total: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` into at most ``slots`` positive parts, each <= cap."""
-    if total == 0:
-        yield ()
-        return
-    if slots == 0:
-        return
-    for first in range(min(total, cap), 0, -1):
-        for rest in _partitions_descending(total - first, slots - 1, first):
-            yield (first,) + rest
-
-
 def _endpoint_classes(spec: PackSpec) -> list[tuple[int, int]]:
     """Group endpoints by their multinomial weight.
 
     Returns (weight, multiplicity) pairs sorted by descending weight, where
-    multiplicity counts the endpoints sharing that weight. Endpoints with the
-    same sorted count multiset form one partition class of size
-    d! / prod(repetition factorials); classes with coinciding weights are
-    merged. The multiplicities sum to C(n + d - 1, d - 1).
+    multiplicity counts the endpoints sharing that weight. The partition
+    classes come from :func:`~packmatch.coincidence.partition_classes`;
+    classes with coinciding weights are merged. The multiplicities sum to
+    C(n + d - 1, d - 1).
     """
-    n, d = spec.n, spec.d
     merged: dict[int, int] = {}
-    for partition in _partitions_descending(n, d, n if n else 1):
-        padded = partition + (0,) * (d - len(partition))
-        repeats = Counter(padded)
-        classes = factorial(d)
-        for count in repeats.values():
-            classes //= factorial(count)
-        weight = multinomial(n, padded)
-        merged[weight] = merged.get(weight, 0) + classes
+    for weight, size in partition_classes(spec):
+        merged[weight] = merged.get(weight, 0) + size
     pairs = sorted(merged.items(), key=lambda item: item[0], reverse=True)
     if sum(mult for _, mult in pairs) != distinct_pack_count(spec):
         raise AssertionError(f"endpoint classes for {spec} lost endpoints")

@@ -296,6 +296,16 @@ class TestExpect:
         assert b"more than 5000000 terms" in result.stderr
         assert b"raise tol" not in result.stderr
 
+    def test_pairwise_series_above_tolerance_fails_fast(self):
+        # p ~ 1.2e-12: the ratio can drop below 1 in time, but no term there
+        # gets below the default tol 1e-12.
+        result = run_module(
+            "expect", "--n", "24", "--d", "24", "--model", "pairwise", timeout=5
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert b"more than 5000000 terms" in result.stderr
+
     def test_tolerance_validation(self):
         assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "0")[0] == 2
         assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "1.5")[0] == 2

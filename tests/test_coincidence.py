@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from packmatch import coincidence
 from packmatch.coincidence import (
     PackSpec,
     coincidence_probability,
@@ -17,10 +19,11 @@ from packmatch.coincidence import (
     count_recursive,
     distinct_pack_count,
     endpoint_probability,
+    partition_classes,
     recursive_columns,
     two_color_probability,
 )
-from packmatch.exactmath import binomial, decimal_string
+from packmatch.exactmath import binomial, decimal_string, multinomial
 
 # 5x5 golden grid of matching-pair counts, rows n=1..5, columns d=1..5.
 COUNT_GRID = [
@@ -173,12 +176,49 @@ class TestCountingRoutes:
                 assert count_recursive(PackSpec(n, d)) == COUNT_GRID[n - 1][d - 1]
 
     def test_routes_agree_on_grid(self):
-        for n in range(9):
-            for d in range(1, 6):
+        for n in range(13):
+            for d in range(1, 8):
                 spec = PackSpec(n, d)
                 closed = count_closed(spec)
                 assert closed == count_recursive(spec)
                 assert closed == count_gf(spec)
+
+    @pytest.mark.parametrize("n, d", [(24, 8), (80, 5), (200, 3), (60, 5), (1, 2000)])
+    def test_routes_agree_at_heavy_shapes(self, n, d):
+        spec = PackSpec(n, d)
+        closed = count_closed(spec)
+        assert closed == count_recursive(spec)
+        assert closed == count_gf(spec)
+
+    def test_routes_stay_independent(self, monkeypatch):
+        # The routes cross-check each other only while no route calls another.
+        golden = {(3, 3): 93, (5, 5): 127905, (4, 2): 70, (0, 4): 1, (6, 1): 1}
+
+        def refuse(*_args):
+            raise RuntimeError("another counting route was called")
+
+        monkeypatch.setattr(coincidence, "recursive_columns", refuse)
+        monkeypatch.setattr(coincidence, "count_recursive", refuse)
+        for (n, d), count in golden.items():
+            assert count_closed(PackSpec(n, d)) == count
+            assert count_gf(PackSpec(n, d)) == count
+        # count_closed reads binomial for its endpoint ceiling; count_gf never does.
+        monkeypatch.setattr(coincidence, "binomial", refuse)
+        for (n, d), count in golden.items():
+            assert count_gf(PackSpec(n, d)) == count
+
+    def test_gf_route_rejects_a_corrupted_step(self, monkeypatch):
+        # Feed one step of the power recurrence a sum that is off by one: the
+        # exact division by k must notice.
+        calls = []
+
+        def corrupt_divmod(total, k):
+            calls.append(k)
+            return divmod(total + (len(calls) == 3), k)
+
+        monkeypatch.setattr(coincidence, "divmod", corrupt_divmod, raising=False)
+        with pytest.raises(AssertionError, match="step 3 .* is not an integer"):
+            count_gf(PackSpec(6, 4))
 
     def test_routes_match_brute_force_walk_pairs(self):
         # Definitional oracle over the full ordered sample space d^(2n).
@@ -189,6 +229,21 @@ class TestCountingRoutes:
                 assert count_closed(spec) == expected
                 assert count_recursive(spec) == expected
                 assert count_gf(spec) == expected
+
+
+class TestPartitionClasses:
+    @staticmethod
+    def expected_classes(spec: PackSpec) -> list[tuple[int, int]]:
+        # One class per sorted endpoint, holding every endpoint that sorts to it.
+        classes = Counter(tuple(sorted(c)) for c in compositions(spec))
+        return sorted((multinomial(spec.n, key), size) for key, size in classes.items())
+
+    def test_match_sorted_compositions(self):
+        shapes = [(n, d) for n in range(9) for d in range(1, 7)]
+        shapes += [(0, d) for d in (7, 12, 40)] + [(n, 1) for n in (9, 20, 50)]
+        for n, d in shapes:
+            spec = PackSpec(n, d)
+            assert sorted(partition_classes(spec)) == self.expected_classes(spec), spec
 
 
 class TestCoincidenceTable:

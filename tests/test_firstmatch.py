@@ -135,6 +135,18 @@ class TestPairwiseExpectation:
         with pytest.raises(ValueError, match="more than 5000000 terms"):
             pairwise_expectation(Fraction(2, 5_000_000**2 - 1))
 
+    def test_series_that_cannot_reach_tol_is_refused_up_front(self):
+        # p ~ 1.2e-12 passes the ratio gate, but every term where the ratio
+        # can drop below 1 stays above 1e-12 up to the term cap.
+        p = coincidence_probability(PackSpec(24, 24))
+        with pytest.raises(ValueError, match="stays above the tolerance"):
+            pairwise_expectation(p)
+
+    def test_small_probability_above_the_gates_still_converges(self):
+        series = pairwise_expectation(Fraction(1, 10**11))
+        assert series.tail_bound <= Decimal("1e-12")
+        assert series.last_index < 5_000_000
+
 
 class TestEndpointSpectrum:
     def test_example_power_sums(self):
