@@ -229,8 +229,6 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     spec = PackSpec(args.n, args.d)
-    if args.tol <= 0 or args.tol >= 1:
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {args.tol}")
     record: dict[str, Any] = {
         "command": "expect",
         "n": spec.n,

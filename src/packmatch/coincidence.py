@@ -166,7 +166,8 @@ def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
     the class has the multinomial weight n! / prod(part!), and the class holds
     d! / ((d - k)! * prod(run!)) endpoints, where k is the number of parts and
     the runs are the groups of equal parts. The sizes sum to
-    C(n + d - 1, d - 1). Classes come in a fixed order, one per partition;
+    C(n + d - 1, d - 1); once the walk is exhausted it raises AssertionError
+    if they do not. Classes come in a fixed order, one per partition;
     distinct classes may share a weight.
 
     The walk places parts in non-increasing order from an explicit stack, so
@@ -186,24 +187,32 @@ def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
     # (items remaining, previous part, parts placed, run of the previous
     # part, weight, arrangements)
     stack = [(n, n, 0, 0, 1, 1)]
+    sizes = 0
     while stack:
         remaining, previous, placed, run, weight, arr = stack.pop()
         free = d - placed
         if free == 1:
             # The last part takes what is left: C(remaining, remaining) = 1.
             run = run + 1 if remaining == previous else 1
-            yield weight, arr // run
+            size = arr // run
+            sizes += size
+            yield weight, size
             continue
         row = rows[remaining]
         for part in range(min(previous, remaining), -(-remaining // free) - 1, -1):
             grown = run + 1 if part == previous else 1
             if part == remaining:
-                yield weight, arr * free // grown
+                size = arr * free // grown
+                sizes += size
+                yield weight, size
             else:
                 stack.append(
                     (remaining - part, part, placed + 1, grown,
                      weight * row[part], arr * free // grown)
                 )
+    count = distinct_pack_count(spec)
+    if sizes != count:
+        raise AssertionError(f"partition classes of {spec} hold {sizes} endpoints, not {count}")
 
 
 def count_closed(spec: PackSpec) -> int:
@@ -211,8 +220,7 @@ def count_closed(spec: PackSpec) -> int:
 
     Evaluates sum over endpoints of multinomial(n; endpoint)^2 one partition
     class at a time: every endpoint of a class has the same weight, so the
-    class adds size * weight^2 (see :func:`partition_classes`). The class
-    sizes must add up to the endpoint count C(n + d - 1, d - 1).
+    class adds size * weight^2 (see :func:`partition_classes`).
 
     Raises:
         ValueError: when the endpoint count exceeds ``ENDPOINT_CEILING``
@@ -226,14 +234,7 @@ def count_closed(spec: PackSpec) -> int:
             f"{spec} has {count} distinct endpoints, above the closed route's ceiling "
             f"{ENDPOINT_CEILING}; use --route recursive or --route gf"
         )
-    total = 0
-    sizes = 0
-    for weight, size in partition_classes(spec):
-        total += size * weight * weight
-        sizes += size
-    if sizes != count:
-        raise AssertionError(f"partition classes of {spec} hold {sizes} endpoints, not {count}")
-    return total
+    return sum(size * weight * weight for weight, size in partition_classes(spec))
 
 
 def count_gf(spec: PackSpec) -> int:

@@ -32,7 +32,6 @@ summed at a fixed 28 significant digits.
 from __future__ import annotations
 
 import decimal
-import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -57,9 +56,6 @@ EXACT_ENDPOINT_LIMIT = 10_000
 BOUND_PRECISION = 8
 
 _PAIRWISE_MAX_TERMS = 5_000_000
-# The pairwise gate's lower bound on a term: 30 digits, rounded outward.
-_GATE_UP = decimal.Context(prec=30, rounding=decimal.ROUND_CEILING, Emax=10**9, Emin=-(10**9))
-_GATE_DOWN = decimal.Context(prec=30, rounding=decimal.ROUND_FLOOR, Emax=10**9, Emin=-(10**9))
 # Error bounds: few digits, every operation rounded upward.
 _BOUND_CONTEXT = decimal.Context(
     prec=BOUND_PRECISION, rounding=decimal.ROUND_CEILING, Emax=10**9, Emin=-(10**9)
@@ -107,73 +103,78 @@ class SeriesExpectation:
     last_index: int
 
 
-def _pairwise_term_floor(p: Fraction, index: int) -> Decimal:
-    """A lower bound on what the pairwise series computes as its term at ``index``.
+def _check_tolerance(tol: float) -> None:
+    """Reject a truncation tolerance outside (0, 1); NaN fails too."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
 
-    Evaluates L(l) = l (l - 1) p exp(-C(l-1, 2) p / (1 - p)) for 0 < p < 1 at
-    30 digits: p / (1 - p) rounded up, the exponent, p and the products
-    rounded down, and exp (correctly rounded) stepped one unit down.
-    The result is then scaled by 1 - 10**-20, which covers the relative
-    rounding of the series' own ``PAIRWISE_PRECISION``-digit term (below
-    10**-26 for up to ``_PAIRWISE_MAX_TERMS`` terms).
+
+def _pairwise_tail(term: Decimal, ratio: Decimal, tolerance: Decimal) -> Decimal | None:
+    """The pairwise series' stopping rule at one index.
+
+    Returns the geometric tail bound term * ratio / (1 - ratio) when the term
+    and that bound are both at most ``tolerance`` and the term ratio is below
+    1, and None otherwise. Runs in the caller's decimal context.
     """
-    down = _GATE_DOWN
-    pairs = (index - 1) * (index - 2) // 2
-    odds = _GATE_UP.divide(Decimal(p.numerator), Decimal(p.denominator - p.numerator))
-    decay = down.next_minus(down.exp(down.multiply(Decimal(-pairs), odds)))
-    p_low = down.divide(Decimal(p.numerator), Decimal(p.denominator))
-    term = down.multiply(down.multiply(Decimal(index * (index - 1)), p_low), decay)
-    return down.subtract(term, down.scaleb(term, -20))
+    if term <= tolerance and ratio < 1:
+        tail = term * ratio / (1 - ratio)
+        if tail <= tolerance:
+            return tail
+    return None
 
 
 def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesExpectation:
     """Expectation of the pairwise model, summed until the tail is provably small.
 
-    Sums l * (l - 1) * p * (1 - p)^C(l-1, 2) for l = 2, 3, ... and stops once
-    the current term is below ``tol``, the term ratio
-    r = (l + 1) / (l - 1) * (1 - p)^(l - 1) has dropped below 1, and the
-    geometric tail bound term * r / (1 - r) is below ``tol``. The ratio is
-    decreasing in l, so the geometric bound is valid from the stopping index.
-    The sum runs at ``PAIRWISE_PRECISION`` significant digits.
+    Sums l * (l - 1) * p * (1 - p)^C(l-1, 2) for l = 2, 3, ... and stops at
+    the first l where the current term is at most ``tol``, the term ratio
+    r = (l + 1) / (l - 1) * (1 - p)^(l - 1) is below 1, and the geometric
+    tail bound term * r / (1 - r) is at most ``tol``. The sum runs at
+    ``PAIRWISE_PRECISION`` significant digits.
 
-    The ratio can only drop below 1 once l**2 > 1 + 2 / p: Bernoulli's
-    inequality (1 - p)^(l - 1) >= 1 - (l - 1) p turns r < 1 into
-    (l**2 - 1) p > 2. So when p is too small for any l up to
-    ``_PAIRWISE_MAX_TERMS`` to pass that test, the call fails before summing.
-    It also fails before summing when no such l can have a term below
-    ``tol``: since -ln(1 - p) <= p / (1 - p), every term is at least
-    L(l) = l (l - 1) p exp(-C(l-1, 2) p / (1 - p)), and L is unimodal in l
-    (its logarithm is concave), so L > tol at both ends of
-    [isqrt(floor(1 + 2 / p)), ``_PAIRWISE_MAX_TERMS``] means L > tol on all
-    of it. See :func:`_pairwise_term_floor` for the rounding.
+    The ratio decreases in l, and once it is below 1 the term and the tail
+    bound decrease too; so once the stopping rule holds it holds for every
+    larger l, and the sum stops within ``_PAIRWISE_MAX_TERMS`` terms exactly
+    when the rule holds at l = ``_PAIRWISE_MAX_TERMS``. The call evaluates
+    the rule there once, before summing, from (1 - p)**C(l-1, 2) and
+    (1 - p)**(l - 1) taken as powers, and refuses the series if the rule
+    fails even with that term and ratio both lowered by the relative margin
+    10**-20. The sum's own products carry a relative error below 10**-25 at
+    that l (at most about l**2 / 2 roundings, each below 10**-39), and the
+    powers one of about 10**-39, so the margin covers the gap between the
+    two evaluations: with the term and ratio no larger than the sum's, the
+    tail bound term * r / (1 - r) is no larger either, and the check never
+    refuses a series the sum would finish. The in-loop term cap stays as a
+    backstop for a rule that fails at the cap by less than the margin.
 
     Raises:
-        ValueError: if ``p`` is not in (0, 1] (the series diverges at p = 0),
-            or if the series cannot stop within ``_PAIRWISE_MAX_TERMS`` terms.
+        ValueError: if ``tol`` is not in (0, 1), if ``p`` is not in (0, 1]
+            (the series diverges at p = 0), or if the series cannot stop
+            within ``_PAIRWISE_MAX_TERMS`` terms.
     """
+    _check_tolerance(tol)
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError(f"pair match probability must lie in (0, 1], got {p}")
-    if p * (_PAIRWISE_MAX_TERMS**2 - 1) <= 2:
-        raise ValueError(
-            f"pairwise expectation needs more than {_PAIRWISE_MAX_TERMS} terms at pair "
-            f"probability {float(p):.6g}: its term ratio stays at or above 1 until "
-            "l**2 > 1 + 2/p"
-        )
     tolerance = Decimal(str(tol))
-    first = max(2, math.isqrt(math.floor(1 + 2 / p)))
-    if p < 1 and all(
-        _pairwise_term_floor(p, index) > tolerance for index in (first, _PAIRWISE_MAX_TERMS)
-    ):
-        raise ValueError(
-            f"pairwise expectation needs more than {_PAIRWISE_MAX_TERMS} terms at pair "
-            f"probability {float(p):.6g}: every term from l = {first} on stays above "
-            f"the tolerance {tol}"
-        )
     ctx = decimal.Context(prec=PAIRWISE_PRECISION, Emax=10**9, Emin=-(10**9))
     with decimal.localcontext(ctx):
         pd = Decimal(p.numerator) / Decimal(p.denominator)
         omp = 1 - pd
+        cap = _PAIRWISE_MAX_TERMS
+        lower = 1 - Decimal("1e-20")
+        term = Decimal(cap * (cap - 1)) * pd * omp ** ((cap - 1) * (cap - 2) // 2) * lower
+        ratio = Decimal(cap + 1) / Decimal(cap - 1) * omp ** (cap - 1) * lower
+        if _pairwise_tail(term, ratio, tolerance) is None:
+            reason = (
+                "its term ratio is still at least 1"
+                if ratio >= 1 and term <= tolerance
+                else f"its term or tail bound stays above the tolerance {tol}"
+            )
+            raise ValueError(
+                f"pairwise expectation needs more than {cap} terms at pair probability "
+                f"{float(p):.6g}: at l = {cap} {reason}"
+            )
         total = Decimal(0)
         power = Decimal(1)  # (1 - p)^C(l-1, 2)
         step = omp  # (1 - p)^(l - 1)
@@ -182,17 +183,14 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
             term = Decimal(index * (index - 1)) * pd * power
             total += term
             ratio = Decimal(index + 1) / Decimal(index - 1) * step
-            if term <= tolerance and ratio < 1:
-                tail = term * ratio / (1 - ratio)
-                if tail <= tolerance:
-                    return SeriesExpectation(+total, +tail, index)
+            tail = _pairwise_tail(term, ratio, tolerance)
+            if tail is not None:
+                return SeriesExpectation(+total, +tail, index)
             power *= step
             step *= omp
             index += 1
-            if index > _PAIRWISE_MAX_TERMS:
-                raise ValueError(
-                    f"pairwise expectation did not converge within {_PAIRWISE_MAX_TERMS} terms"
-                )
+            if index > cap:
+                raise ValueError(f"pairwise expectation did not converge within {cap} terms")
 
 
 def _endpoint_classes(spec: PackSpec) -> list[tuple[int, int]]:
@@ -207,10 +205,7 @@ def _endpoint_classes(spec: PackSpec) -> list[tuple[int, int]]:
     merged: dict[int, int] = {}
     for weight, size in partition_classes(spec):
         merged[weight] = merged.get(weight, 0) + size
-    pairs = sorted(merged.items(), key=lambda item: item[0], reverse=True)
-    if sum(mult for _, mult in pairs) != distinct_pack_count(spec):
-        raise AssertionError(f"endpoint classes for {spec} lost endpoints")
-    return pairs
+    return sorted(merged.items(), key=lambda item: item[0], reverse=True)
 
 
 class EndpointSpectrum:
@@ -507,7 +502,11 @@ def exact_pmf_and_expectation(
     decreasing, which makes the geometric bound valid. The pmf then sums to 1
     up to the reported tail. In decimal mode the walk sums at 28 significant
     digits, half-even, whatever the caller's decimal context.
+
+    Raises:
+        ValueError: if ``tol`` is not in (0, 1).
     """
+    _check_tolerance(tol)
     one: Number
     zero: Number
     with decimal.localcontext(_WALK_CONTEXT):

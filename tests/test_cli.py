@@ -297,18 +297,23 @@ class TestExpect:
         assert b"raise tol" not in result.stderr
 
     def test_pairwise_series_above_tolerance_fails_fast(self):
-        # p ~ 1.2e-12: the ratio can drop below 1 in time, but no term there
-        # gets below the default tol 1e-12.
-        result = run_module(
-            "expect", "--n", "24", "--d", "24", "--model", "pairwise", timeout=5
-        )
-        assert result.returncode == 2
-        assert result.stdout == b""
-        assert b"more than 5000000 terms" in result.stderr
+        # p ~ 1.2e-12: the ratio can drop below 1 in time, but at the term cap
+        # the term (default tol 1e-12) or its geometric tail bound (tol 1e-4)
+        # is still above the tolerance.
+        for tol_args in ((), ("--tol", "1e-4")):
+            result = run_module(
+                "expect", "--n", "24", "--d", "24", "--model", "pairwise", *tol_args, timeout=5
+            )
+            assert result.returncode == 2, tol_args
+            assert result.stdout == b""
+            assert b"more than 5000000 terms" in result.stderr
 
     def test_tolerance_validation(self):
-        assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "0")[0] == 2
-        assert run_cli("expect", "--n", "1", "--d", "2", "--tol", "1.5")[0] == 2
+        for tol in ("0", "1.5", "nan"):
+            code, out, err = run_cli("expect", "--n", "1", "--d", "2", "--tol", tol)
+            assert code == 2, tol
+            assert out == ""
+            assert "tol must lie strictly between 0 and 1" in err
 
     def test_precision_alarm_exit_code(self, monkeypatch):
         fake = FirstMatchLaw(

@@ -24,6 +24,7 @@ from packmatch.coincidence import (
     two_color_probability,
 )
 from packmatch.exactmath import binomial, decimal_string, multinomial
+from packmatch.firstmatch import endpoint_spectrum
 
 # 5x5 golden grid of matching-pair counts, rows n=1..5, columns d=1..5.
 COUNT_GRID = [
@@ -244,6 +245,16 @@ class TestPartitionClasses:
         for n, d in shapes:
             spec = PackSpec(n, d)
             assert sorted(partition_classes(spec)) == self.expected_classes(spec), spec
+
+    def test_lost_endpoints_fail_every_consumer(self, monkeypatch):
+        # A walk whose class sizes miss the endpoint count, simulated by an
+        # endpoint count one too high, fails once the walk is exhausted.
+        real = coincidence.distinct_pack_count
+        monkeypatch.setattr(coincidence, "distinct_pack_count", lambda spec: real(spec) + 1)
+        with pytest.raises(AssertionError, match="hold 35 endpoints, not 36"):
+            count_closed(PackSpec(4, 4))
+        with pytest.raises(AssertionError, match="hold 35 endpoints, not 36"):
+            endpoint_spectrum(PackSpec(4, 4))
 
 
 class TestCoincidenceTable:

@@ -23,7 +23,10 @@ from packmatch.firstmatch import (
     BOUND_PRECISION,
     DEFAULT_PRECISION,
     EXACT_ENDPOINT_LIMIT,
+    PAIRWISE_PRECISION,
+    _PAIRWISE_MAX_TERMS,
     PackSizeDistribution,
+    _pairwise_tail,
     endpoint_spectrum,
     exact_pmf_and_expectation,
     mixture_match_probability,
@@ -36,6 +39,18 @@ def pairwise_term(p: Fraction, index: int) -> Fraction:
     """Exact expectation-series term: l * (l-1) * p * (1-p)^C(l-1, 2)."""
     exponent = (index - 1) * (index - 2) // 2
     return index * (index - 1) * p * (1 - p) ** exponent
+
+
+def stopping_rule(p: Fraction, index: int, tol: float) -> Decimal | None:
+    """The pairwise series' stopping rule at ``index``, its powers taken directly."""
+    with decimal.localcontext(
+        decimal.Context(prec=PAIRWISE_PRECISION, Emax=10**9, Emin=-(10**9))
+    ):
+        pd = Decimal(p.numerator) / Decimal(p.denominator)
+        omp = 1 - pd
+        term = Decimal(index * (index - 1)) * pd * omp ** ((index - 1) * (index - 2) // 2)
+        ratio = Decimal(index + 1) / Decimal(index - 1) * omp ** (index - 1)
+        return _pairwise_tail(term, ratio, Decimal(str(tol)))
 
 
 def product_survival(spec: PackSpec, m: int) -> Fraction:
@@ -136,16 +151,53 @@ class TestPairwiseExpectation:
             pairwise_expectation(Fraction(2, 5_000_000**2 - 1))
 
     def test_series_that_cannot_reach_tol_is_refused_up_front(self):
-        # p ~ 1.2e-12 passes the ratio gate, but every term where the ratio
-        # can drop below 1 stays above 1e-12 up to the term cap.
+        # p ~ 1.2e-12: the term ratio drops below 1 before the term cap, but
+        # at the cap the term (tol 1e-12) or its geometric tail bound, with
+        # 1 - r ~ 6e-6 (tol 1e-4), is still above the tolerance.
         p = coincidence_probability(PackSpec(24, 24))
-        with pytest.raises(ValueError, match="stays above the tolerance"):
-            pairwise_expectation(p)
+        for tol in (1e-12, 1e-4):
+            with pytest.raises(ValueError, match="stays above the tolerance"):
+                pairwise_expectation(p, tol=tol)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Fraction(1, 3),
+            coincidence_probability(PackSpec(60, 5)),
+            Fraction(1, 10**6),
+            Fraction(1, 10**9),
+        ],
+    )
+    @pytest.mark.parametrize("tol", [1e-4, 1e-12])
+    def test_stopping_rule_holds_from_the_stopping_index_on(self, p, tol):
+        # The up-front refusal rests on this: the rule fails just before the
+        # index where the sum stops, and holds there and at the term cap.
+        last = pairwise_expectation(p, tol=tol).last_index
+        assert stopping_rule(p, last - 1, tol) is None
+        assert stopping_rule(p, last, tol) is not None
+        assert stopping_rule(p, _PAIRWISE_MAX_TERMS, tol) is not None
+
+    @pytest.mark.parametrize(
+        "spec, tol", [((24, 24), 1e-4), ((24, 24), 1e-12), ((30, 30), 1e-12)]
+    )
+    def test_stopping_rule_fails_at_the_cap_for_refused_series(self, spec, tol):
+        p = coincidence_probability(PackSpec(*spec))
+        assert stopping_rule(p, _PAIRWISE_MAX_TERMS, tol) is None
+        with pytest.raises(ValueError, match="more than 5000000 terms"):
+            pairwise_expectation(p, tol=tol)
 
     def test_small_probability_above_the_gates_still_converges(self):
         series = pairwise_expectation(Fraction(1, 10**11))
         assert series.tail_bound <= Decimal("1e-12")
         assert series.last_index < 5_000_000
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, math.nan, -1e-12])
+def test_tolerance_outside_unit_interval_is_refused(tol):
+    with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
+        pairwise_expectation(Fraction(1, 3), tol=tol)
+    with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
+        exact_pmf_and_expectation(endpoint_spectrum(PackSpec(20, 4)), tol=tol)
 
 
 class TestEndpointSpectrum:
