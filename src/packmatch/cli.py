@@ -76,6 +76,9 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
         default="plain",
         help="output format (default: plain)",
     )
+
+
+def _add_digits_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--digits",
         type=int,
@@ -108,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=["counts", "probabilities"], help="what to tabulate"
     )
     _add_output_arguments(table)
+    _add_digits_argument(table)
     table.set_defaults(handler=_cmd_table)
 
     prob = sub.add_parser("prob", help="match probability for one pack shape")
@@ -119,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="counting route to use (default: all, cross-checked)",
     )
     _add_output_arguments(prob)
+    _add_digits_argument(prob)
     prob.set_defaults(handler=_cmd_prob)
 
     expect = sub.add_parser(
@@ -146,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     mixture.add_argument("file", help="distribution file: 'SIZE WEIGHT' lines")
     mixture.add_argument("--d", type=int, required=True, help="number of colors")
     _add_output_arguments(mixture)
+    _add_digits_argument(mixture)
     mixture.set_defaults(handler=_cmd_mixture)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo estimates")

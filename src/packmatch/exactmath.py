@@ -10,6 +10,8 @@ the standard library's ``math.factorial``.
 
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence, Union
@@ -104,35 +106,18 @@ def significant_string(value: Rational, digits: int = 4, *, rounding: str = "hal
     if rounding not in ("half-even", "down"):
         raise ValueError(f"unknown rounding mode: {rounding!r}")
     value = Fraction(value)
-    if value == 0:
-        mantissa = "0" if digits == 1 else "0." + "0" * (digits - 1)
-        return f"{mantissa}e+00"
-    sign = "-" if value < 0 else ""
-    mag = abs(value)
-
-    # Decimal exponent: the unique e with 10^e <= mag < 10^(e+1).
-    num, den = mag.numerator, mag.denominator
-    exponent = len(str(num)) - len(str(den))
-    if num * 10 ** max(0, -exponent) < den * 10 ** max(0, exponent):
-        exponent -= 1
-    assert den * 10 ** max(0, exponent) <= num * 10 ** max(0, -exponent)
-
-    # Integer mantissa with `digits` digits, scaled by 10^(digits-1-e).
-    shift = digits - 1 - exponent
-    if shift >= 0:
-        scaled = Fraction(num * 10**shift, den)
-    else:
-        scaled = Fraction(num, den * 10**-shift)
-    if rounding == "half-even":
-        q = _round_half_even(scaled)
-    else:
-        q = scaled.numerator // scaled.denominator
-    if q == 10**digits:
-        # Rounding carried into a new leading digit.
-        q //= 10
-        exponent += 1
-    mantissa = str(q)
-    assert len(mantissa) == digits
+    # One correctly rounded division at ``digits`` significant digits; 0
+    # comes out as 0 with exponent 0.
+    context = decimal.Context(
+        prec=digits,
+        rounding=decimal.ROUND_HALF_EVEN if rounding == "half-even" else decimal.ROUND_DOWN,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+    )
+    quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
+    sign, coefficient, exponent = quotient.as_tuple()
+    mantissa = "".join(map(str, coefficient)).ljust(digits, "0")
+    exponent += len(coefficient) - 1
     if digits > 1:
         mantissa = mantissa[0] + "." + mantissa[1:]
-    return f"{sign}{mantissa}e{exponent:+03d}"
+    return f"{'-' if sign else ''}{mantissa}e{exponent:+03d}"

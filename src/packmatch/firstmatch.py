@@ -16,13 +16,14 @@ the vector of endpoint probabilities and ``e_m`` the m-th elementary
 symmetric polynomial: buying m packs with all endpoints distinct means
 choosing an ordered m-tuple of distinct endpoints. The e_m are evaluated
 through Newton's identities over the endpoint power sums
-``S_j = sum_v q_v^j``. Endpoints sharing a probability are grouped into
-classes (one class per partition shape), which shrinks the working set by
-orders of magnitude. Small problems run in exact arithmetic: Newton's
-identities on integers (the probabilities share the denominator d**n), with
-exact division by k and one Fraction per survival. Larger ones use
-high-precision decimal arithmetic with a precision alarm and a tracked error
-bound per survival. One recurrence bounds them all: Newton's identities with
+``S_j = sum_v q_v^j``, carried on the signed values (-1)**m * e_m so that
+every step is a plain negated sum of products. Endpoints sharing a
+probability are grouped into classes (one class per partition shape), which
+shrinks the working set by orders of magnitude. Small problems run in exact
+arithmetic: Newton's identities on integers (the probabilities share the
+denominator d**n), with exact division by k and one Fraction per survival.
+Larger ones use high-precision decimal arithmetic with a precision alarm and
+a tracked error bound per survival. One recurrence bounds them all: Newton's identities with
 every sign positive, run at 8 significant digits with upward rounding on
 upper bounds of the power sums, bound the complete homogeneous polynomials
 h_k >= e_k, and the error of each e_k is proportional to h_k. The law is
@@ -109,12 +110,12 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
 
 
-def _pairwise_tail(term: Decimal, ratio: Decimal, tolerance: Decimal) -> Decimal | None:
-    """The pairwise series' stopping rule at one index.
+def _geometric_tail(term: Number, ratio: Number, tolerance: Number) -> Number | None:
+    """The stopping rule of both first-match series at one index.
 
     Returns the geometric tail bound term * ratio / (1 - ratio) when the term
     and that bound are both at most ``tolerance`` and the term ratio is below
-    1, and None otherwise. Runs in the caller's decimal context.
+    1, and None otherwise. Decimal arithmetic runs in the caller's context.
     """
     if term <= tolerance and ratio < 1:
         tail = term * ratio / (1 - ratio)
@@ -165,7 +166,7 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
         lower = 1 - Decimal("1e-20")
         term = Decimal(cap * (cap - 1)) * pd * omp ** ((cap - 1) * (cap - 2) // 2) * lower
         ratio = Decimal(cap + 1) / Decimal(cap - 1) * omp ** (cap - 1) * lower
-        if _pairwise_tail(term, ratio, tolerance) is None:
+        if _geometric_tail(term, ratio, tolerance) is None:
             reason = (
                 "its term ratio is still at least 1"
                 if ratio >= 1 and term <= tolerance
@@ -183,7 +184,7 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
             term = Decimal(index * (index - 1)) * pd * power
             total += term
             ratio = Decimal(index + 1) / Decimal(index - 1) * step
-            tail = _pairwise_tail(term, ratio, tolerance)
+            tail = _geometric_tail(term, ratio, tolerance)
             if tail is not None:
                 return SeriesExpectation(+total, +tail, index)
             power *= step
@@ -213,22 +214,28 @@ class EndpointSpectrum:
 
     Holds one entry per distinct probability value together with its
     multiplicity, and grows three aligned sequences: the power sums S_j, the
-    elementary symmetric values e_m, and the survival probabilities
+    signed elementary values (-1)**k * e_k, and the survival probabilities
     P[X > m] = m! * e_m. :meth:`power_sum`, :meth:`survival` and
     :meth:`survival_error` grow them up to the index asked for, in any order.
     Construct through :func:`endpoint_spectrum`.
 
+    Both modes run Newton's identities on signed values: with
+    E_k = (-1)**k * e_k, each step is k * E_k = -sum_i E_{k-i} * S_i over the
+    plain power sums, and the survival is (-1)**k * k! * E_k.
+
     Two arithmetic modes exist. ``"rational"`` is exact: the endpoint
     probabilities are w / D with integer weights w and D = d**n, so it keeps
-    the integer power sums P_j = sum w**j and runs Newton's identities on the
-    integers G_k = D**k * e_k, dividing exactly by k; a survival is the one
-    Fraction k! * G_k / D**k. ``"decimal"`` works at a fixed number of
+    the integer power sums P_j = sum w**j and runs the recurrence on the
+    integers (-1)**k * D**k * e_k, dividing exactly by k; a survival is the
+    one Fraction k! * e_k. ``"decimal"`` works at a fixed number of
     significant digits and tracks a conservative absolute error bound for
     every survival value. If any bound crosses ``alarm_threshold``
     (10**-(precision // 2)) the sticky ``precision_alarm`` flag is raised. In
     decimal mode, classes whose current power has decayed below
     10**-(precision + 12) times the leading class's power are dropped from
     later power sums, which stays far below the tracked error bounds.
+    Decimal negation is exact and half-even rounding is symmetric in sign, so
+    the signed values are, up to sign, the unsigned recurrence's values.
 
     The decimal bound, to first order in ulp = 10**(1 - precision), with N
     the number of classes. Each computed power sum has relative error at
@@ -261,26 +268,25 @@ class EndpointSpectrum:
         self.num_endpoints = distinct_pack_count(spec)
         classes = _endpoint_classes(spec)
         self.num_classes = len(classes)
-        self._weights = [w for w, _ in classes]
-        self._mults = [m for _, m in classes]
-        # Power sums (P_j in rational mode, S_j in decimal mode) and the same
-        # with the Newton sign (-1)**(j - 1) applied.
+        # Power sums (P_j in rational mode, S_j in decimal mode), the signed
+        # elementary values, and the survivals by pack count from m = 0.
         self._power_sums: list[Number] = []
-        self._signed_sums: list[Number] = []
-        self._surv: list[Number] = []
+        self._elem: list[Number] = [1]
         self.precision: int | None = None
         self.alarm_threshold: Decimal | None = None
         self.max_survival_error: Decimal | None = None
         self._alarm = False
+        self._active = self.num_classes
 
         if mode == "rational":
             self._den = spec.d**spec.n
             if sum(m * w for w, m in classes) != self._den:
                 raise AssertionError(f"endpoint probabilities for {spec} do not sum to 1")
-            self._cur = list(self._weights)
-            self._elem = [1]  # G_k = D**k * e_k
-            self._fact = 1
-            self._den_k = 1  # D**k
+            self._ctx = decimal.Context()  # exact arithmetic ignores it
+            self._base: list[Number] = [w for w, _ in classes]
+            self._mults: list[Number] = [m for _, m in classes]
+            self._fact: Number = Fraction(1)
+            self._surv: list[Number] = [Fraction(1)] * 2
         else:
             if precision is None:
                 precision = DEFAULT_PRECISION
@@ -290,23 +296,22 @@ class EndpointSpectrum:
             self._ctx = decimal.Context(prec=precision, Emax=10**9, Emin=-(10**9))
             with decimal.localcontext(self._ctx):
                 den = Decimal(spec.d**spec.n)
-                self._values = [Decimal(w) / den for w in self._weights]
-                self._dec_mults = [Decimal(m) for m in self._mults]
-                self._cur = list(self._values)
+                self._base = [Decimal(w) / den for w, _ in classes]
+                self._mults = [Decimal(m) for _, m in classes]
                 self._ulp = Decimal(10) ** (1 - precision)
                 self._prune = Decimal(10) ** (-(precision + 12))
                 self.alarm_threshold = Decimal(10) ** (-(precision // 2))
-                self._elem = [Decimal(1)]
-                self._fact = Decimal(1)
+            self._fact = Decimal(1)
+            self._surv = [Decimal(1)] * 2
             self.max_survival_error = Decimal(0)
-            self._active = self.num_classes
             # Error-bound state, all upward-rounded BOUND_PRECISION-digit
             # values: upper bounds S+_j on the exact S_j, the complete
-            # homogeneous bounds H_k, and k!.
+            # homogeneous bounds H_k, k!, and the bound of each survival.
             self._sums_up: list[Decimal] = []
             self._homog_up = [Decimal(1)]
             self._fact_up = Decimal(1)
-            self._surv_err: list[Decimal] = []
+            self._surv_err = [Decimal(0)] * 2
+        self._cur = list(self._base)
 
     @property
     def precision_alarm(self) -> bool:
@@ -328,29 +333,21 @@ class EndpointSpectrum:
 
     def ensure_power(self, j: int) -> None:
         """Extend the power sums so that S_1..S_j are available."""
-        if self.mode == "rational":
-            while len(self._power_sums) < j:
-                if self._power_sums:
-                    self._cur = list(map(operator.mul, self._cur, self._weights))
-                total = sum(map(operator.mul, self._mults, self._cur))
-                self._power_sums.append(total)
-                self._signed_sums.append(total if len(self._power_sums) % 2 else -total)
-            return
+        cur = self._cur
         with decimal.localcontext(self._ctx):
             while len(self._power_sums) < j:
                 active = self._active
-                cur = self._cur
                 if self._power_sums:
-                    cur[:active] = map(operator.mul, cur[:active], self._values)
-                total = sum(map(operator.mul, self._dec_mults[:active], cur[:active]))
+                    cur[:active] = map(operator.mul, cur[:active], self._base)
+                total = sum(map(operator.mul, self._mults[:active], cur[:active]))
                 self._power_sums.append(total)
-                j_new = len(self._power_sums)
-                self._signed_sums.append(total if j_new % 2 else -total)
+                if self.mode == "rational":
+                    continue
                 # First-order relative bound on S_j: conversion, j power
                 # roundings, one product and one add per class, plus the
                 # pruning slack.
                 with decimal.localcontext(_BOUND_CONTEXT):
-                    sigma = Decimal(self.num_classes + j_new + 6) * self._ulp
+                    sigma = Decimal(self.num_classes + len(self._power_sums) + 6) * self._ulp
                     self._sums_up.append(total * (1 + sigma))
                 # Drop classes that can no longer move S at this precision.
                 cutoff = cur[0] * self._prune
@@ -358,46 +355,53 @@ class EndpointSpectrum:
                     self._active -= 1
 
     def _extend_newton(self, m: int) -> None:
+        if m < len(self._surv):
+            return
         self.ensure_power(m)
         elem = self._elem
-        if self.mode == "rational":
-            # k * G_k = sum_i (-1)**(i - 1) * G_{k-i} * P_i, in integers.
-            while len(elem) <= m:
-                k = len(elem)
-                total = sum(map(operator.mul, reversed(elem), self._signed_sums))
-                g_k, remainder = divmod(total, k)
-                if remainder:
-                    raise AssertionError(f"Newton step {k} for {self.spec} is not an integer")
-                elem.append(g_k)
-                self._fact *= k
-                self._den_k *= self._den
-                if k >= 2:
-                    self._surv.append(Fraction(self._fact * g_k, self._den_k))
-            return
-        homog = self._homog_up
-        num_classes = self.num_classes
         with decimal.localcontext(self._ctx):
             while len(elem) <= m:
                 k = len(elem)
-                e_k = sum(map(operator.mul, reversed(elem), self._signed_sums)) / k
-                self._fact *= k
-                surv = self._fact * e_k
-                with decimal.localcontext(_BOUND_CONTEXT):
-                    # k * H_k = sum_i H_{k-i} * S+_i, and e_k is off by at most
-                    # k * (N + k + 9) * ulp * H_k (see the class docstring).
-                    homog.append(sum(map(operator.mul, reversed(homog), self._sums_up)) / k)
-                    self._fact_up *= k
-                    surv_err = self._ulp * (
-                        k * (num_classes + k + 9) * self._fact_up * homog[k] + (k + 2) * abs(surv)
-                    )
-                elem.append(e_k)
+                # k * E_k = -sum_i E_{k-i} * S_i, with E_k = (-1)**k * e_k.
+                total = -sum(map(operator.mul, reversed(elem), self._power_sums))
+                if self.mode == "rational":
+                    signed, remainder = divmod(total, k)
+                    if remainder:
+                        raise AssertionError(f"Newton step {k} for {self.spec} is not an integer")
+                    self._fact *= Fraction(k, self._den)  # k! / D**k
+                else:
+                    signed = total / k
+                    self._fact *= k
+                elem.append(signed)
+                surv = self._fact * (-signed if k % 2 else signed)
+                if self.mode == "decimal":
+                    self._bound_survival(k, surv)
                 if k >= 2:
                     self._surv.append(surv)
-                    self._surv_err.append(surv_err)
-                    if surv_err > self.max_survival_error:
-                        self.max_survival_error = surv_err
-                    if surv_err > self.alarm_threshold:
-                        self._alarm = True
+
+    def _bound_survival(self, k: int, surv: Decimal) -> None:
+        """Grow H_k and k! upward, and record the error bound of survival ``k``."""
+        homog = self._homog_up
+        with decimal.localcontext(_BOUND_CONTEXT):
+            # k * H_k = sum_i H_{k-i} * S+_i, and e_k is off by at most
+            # k * (N + k + 9) * ulp * H_k (see the class docstring).
+            homog.append(sum(map(operator.mul, reversed(homog), self._sums_up)) / k)
+            self._fact_up *= k
+            surv_err = self._ulp * (
+                k * (self.num_classes + k + 9) * self._fact_up * homog[k] + (k + 2) * abs(surv)
+            )
+        if k >= 2:
+            self._surv_err.append(surv_err)
+            if surv_err > self.max_survival_error:
+                self.max_survival_error = surv_err
+            if surv_err > self.alarm_threshold:
+                self._alarm = True
+
+    def _in_support(self, m: int) -> bool:
+        """Reject a negative pack count; True while m packs can be pairwise distinct."""
+        if m < 0:
+            raise ValueError(f"pack count must be non-negative, got {m}")
+        return m <= self.num_endpoints
 
     def survival(self, m: int) -> Number:
         """P[X > m]: probability the first m packs have pairwise distinct endpoints.
@@ -408,15 +412,10 @@ class EndpointSpectrum:
         Raises:
             ValueError: if ``m`` is negative.
         """
-        one: Number = Fraction(1) if self.mode == "rational" else Decimal(1)
-        if m < 0:
-            raise ValueError(f"pack count must be non-negative, got {m}")
-        if m <= 1:
-            return one
-        if m > self.num_endpoints:
-            return one - one
+        if not self._in_support(m):
+            return self._surv[0] - self._surv[0]
         self._extend_newton(m)
-        return self._surv[m - 2]
+        return self._surv[m]
 
     def survival_error(self, m: int) -> Decimal | None:
         """Tracked absolute error bound for ``survival(m)`` (decimal mode only).
@@ -427,14 +426,13 @@ class EndpointSpectrum:
         Raises:
             ValueError: if ``m`` is negative.
         """
-        if m < 0:
-            raise ValueError(f"pack count must be non-negative, got {m}")
+        inside = self._in_support(m)
         if self.mode == "rational":
             return None
-        if m <= 1 or m > self.num_endpoints:
+        if not inside:
             return Decimal(0)
         self._extend_newton(m)
-        return self._surv_err[m - 2]
+        return self._surv_err[m]
 
 
 def endpoint_spectrum(
@@ -497,29 +495,27 @@ def exact_pmf_and_expectation(
     Walks m = 2, 3, ... computing survivals; the spectrum grows its power
     sums as it goes. P[X = m] = P[X > m - 1] - P[X > m] and
     E[X] = sum of survivals. Stops exactly when the survival hits 0 (always
-    within num_endpoints + 1 packs) or, in decimal mode, once the survival
-    and its geometric tail bound both fall below ``tol``; survival ratios are
-    decreasing, which makes the geometric bound valid. The pmf then sums to 1
-    up to the reported tail. In decimal mode the walk sums at 28 significant
-    digits, half-even, whatever the caller's decimal context.
+    within num_endpoints + 1 packs) or once the survival and its geometric
+    tail bound both fall below ``tol``, the stopping rule of
+    :func:`pairwise_expectation` with the survival ratio as term ratio;
+    survival ratios are decreasing, which makes the geometric bound valid.
+    The pmf then sums to 1 up to the reported tail. In decimal mode the walk
+    sums at 28 significant digits, half-even, whatever the caller's decimal
+    context.
 
     Raises:
         ValueError: if ``tol`` is not in (0, 1).
     """
     _check_tolerance(tol)
-    one: Number
-    zero: Number
     with decimal.localcontext(_WALK_CONTEXT):
-        if spectrum.mode == "rational":
-            one, zero = Fraction(1), Fraction(0)
-            tolerance: Number = Fraction(Decimal(str(tol)))
-        else:
-            one, zero = Decimal(1), Decimal(0)
-            tolerance = Decimal(str(tol))
+        one = spectrum.survival(1)
+        zero = one - one
+        # In the survivals' own type: a Fraction compares with a Decimal
+        # exactly, but about 20 times slower at 700-digit denominators.
+        tolerance = type(one)(Decimal(str(tol)))
         pmf: dict[int, Number] = {}
         expectation = one + one  # survivals at m = 0 and m = 1
         previous = one
-        tail = zero
         m = 2
         while True:
             survival = spectrum.survival(m)
@@ -532,10 +528,9 @@ def exact_pmf_and_expectation(
             if survival == 0:
                 tail = zero
                 break
-            if survival <= tolerance and survival < previous:
-                ratio = survival / previous
-                tail = survival * ratio / (1 - ratio)
-                if tail <= tolerance:
+            if survival <= tolerance:  # the ratio's division only once it can stop
+                tail = _geometric_tail(survival, survival / previous, tolerance)
+                if tail is not None:
                     break
             previous = survival
             m += 1
@@ -592,10 +587,11 @@ class PackSizeDistribution:
 
         One ``SIZE WEIGHT`` pair per line; ``#`` starts a comment and blank
         lines are ignored. Weights are rationals like ``1/3`` or integers, or
-        decimals like ``0.25`` and ``2.5e-1``. If every weight is rational the
-        sum must equal 1 exactly; if any weight is decimal the sum must be
-        within 10**-9 of 1 and the weights are then renormalised to sum to
-        exactly 1.
+        decimals like ``0.25`` and ``2.5e-1``. A decimal weight's order of
+        magnitude (its exponent in scientific notation) must lie within
+        -1000..1000. If every weight is rational the sum must equal 1
+        exactly; if any weight is decimal the sum must be within 10**-9 of 1
+        and the weights are then renormalised to sum to exactly 1.
 
         Raises:
             ValueError: on any malformed line or bad total, with the source
@@ -630,13 +626,22 @@ class PackSizeDistribution:
                     weight = Fraction(weight_token)
                 elif any(c in weight_token for c in ".eE"):
                     saw_decimal = True
-                    weight = Fraction(Decimal(weight_token))
+                    weight = Decimal(weight_token)
                 else:
                     weight = Fraction(int(weight_token))
             except (ValueError, decimal.InvalidOperation, ZeroDivisionError):
                 raise ValueError(
                     f"{source}: line {lineno}: weight {weight_token!r} is not a number"
                 ) from None
+            if isinstance(weight, Decimal):
+                # The exact value holds 10**|exponent|, which at 1e-99999999
+                # takes longer to build than any weight is worth.
+                if not -1000 <= weight.adjusted() <= 1000:
+                    raise ValueError(
+                        f"{source}: line {lineno}: weight {weight_token!r} has a decimal "
+                        "exponent outside -1000..1000"
+                    )
+                weight = Fraction(weight)
             if weight <= 0:
                 raise ValueError(f"{source}: line {lineno}: weight must be positive")
             entries.append((size, weight))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -35,14 +36,21 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-def _validate_seed(seed: int) -> None:
+def _streams(seed: int, total: int, chunk: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """Split ``total`` trials into chunks of at most ``chunk``, stream i for chunk i.
+
+    Yields (generator, size) lazily, so a run holds one generator at a time.
+
+    Raises:
+        ValueError: on first iteration, if ``total`` is not positive or
+            ``seed`` is not a 64-bit non-negative value.
+    """
+    if total < 1:
+        raise ValueError(f"trial count must be positive, got {total}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit non-negative value, got {seed}")
-
-
-def _validate_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trial count must be positive, got {trials}")
+    for stream, start in enumerate(range(0, total, chunk)):
+        yield _generator(seed, stream), min(chunk, total - start)
 
 
 def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -94,19 +102,11 @@ def pair_match_rate(
     Raises:
         ValueError: if ``trials`` is not positive or ``seed`` is negative.
     """
-    _validate_trials(trials)
-    _validate_seed(seed)
     pvals = np.full(spec.d, 1.0 / spec.d)
     matches = 0
-    done = 0
-    stream = 0
-    while done < trials:
-        chunk = min(_PAIR_CHUNK, trials - done)
-        rng = _generator(seed, stream)
-        pairs = rng.multinomial(spec.n, pvals, size=(chunk, 2))
+    for rng, size in _streams(seed, trials, _PAIR_CHUNK):
+        pairs = rng.multinomial(spec.n, pvals, size=(size, 2))
         matches += int(np.all(pairs[:, 0, :] == pairs[:, 1, :], axis=1).sum())
-        done += chunk
-        stream += 1
     ci_low, ci_high = _wilson_interval(matches, trials)
     return TrialReport(
         seed=seed,
@@ -180,16 +180,12 @@ def first_match_experiment(
     Raises:
         ValueError: if ``trials`` is not positive or ``seed`` is negative.
     """
-    _validate_trials(trials)
-    _validate_seed(seed)
     histogram: dict[int, int] = {}
-    total = 0
-    total_sq = 0
-    for stream in range(trials):
-        value = first_match_trial(spec, _generator(seed, stream))
+    for rng, _ in _streams(seed, trials, 1):
+        value = first_match_trial(spec, rng)
         histogram[value] = histogram.get(value, 0) + 1
-        total += value
-        total_sq += value * value
+    total = sum(value * count for value, count in histogram.items())
+    total_sq = sum(value * value * count for value, count in histogram.items())
     mean = total / trials
     if trials > 1:
         variance = (total_sq - trials * mean * mean) / (trials - 1)
@@ -222,22 +218,14 @@ def endpoint_histogram(
     Raises:
         ValueError: if ``samples`` is not positive or ``seed`` is negative.
     """
-    _validate_trials(samples)
-    _validate_seed(seed)
     counts: dict[tuple[int, ...], int] = {}
-    done = 0
-    stream = 0
-    while done < samples:
-        chunk = min(_HISTOGRAM_CHUNK, samples - done)
-        rng = _generator(seed, stream)
-        steps = rng.integers(0, spec.d, size=(chunk, spec.n))
-        endpoints = np.zeros((chunk, spec.d), dtype=np.int64)
+    for rng, size in _streams(seed, samples, _HISTOGRAM_CHUNK):
+        steps = rng.integers(0, spec.d, size=(size, spec.n))
+        endpoints = np.zeros((size, spec.d), dtype=np.int64)
         for color in range(spec.d):
             endpoints[:, color] = (steps == color).sum(axis=1)
         unique, freq = np.unique(endpoints, axis=0, return_counts=True)
         for row, f in zip(unique, freq):
             key = tuple(int(c) for c in row)
             counts[key] = counts.get(key, 0) + int(f)
-        done += chunk
-        stream += 1
     return dict(sorted(counts.items()))

@@ -308,6 +308,16 @@ class TestExpect:
             assert result.stdout == b""
             assert b"more than 5000000 terms" in result.stderr
 
+    def test_digits_option_rejected(self):
+        # Nothing in expect or simulate output is rendered to --digits.
+        for argv in (
+            ["expect", "--n", "3", "--d", "3"],
+            ["simulate", "pair", "--n", "3", "--d", "3", "--trials", "10"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(*argv, "--digits", "3")
+            assert excinfo.value.code == 2, argv
+
     def test_tolerance_validation(self):
         for tol in ("0", "1.5", "nan"):
             code, out, err = run_cli("expect", "--n", "1", "--d", "2", "--tol", tol)
@@ -375,6 +385,17 @@ class TestMixture:
         code, _, err = run_cli("mixture", str(decimal_file), "--d", "2")
         assert code == 2
         assert "away from 1" in err
+
+    def test_huge_decimal_exponent_refused_quickly(self, tmp_path):
+        # Either weight used to hang while its exact value 10**(10**8) was built.
+        for token in ("1e-99999999", "1e999999999"):
+            path = tmp_path / "exponent.txt"
+            path.write_text(f"1 1\n2 {token}\n", encoding="utf-8")
+            result = run_module("mixture", str(path), "--d", "2", timeout=5)
+            assert result.returncode == 2, token
+            assert result.stdout == b""
+            assert b"line 2" in result.stderr
+            assert b"exponent outside -1000..1000" in result.stderr
 
     def test_missing_file_exit_code(self, tmp_path):
         code, _, err = run_cli("mixture", str(tmp_path / "none.txt"), "--d", "2")

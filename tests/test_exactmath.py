@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from packmatch.coincidence import two_color_probability
 from packmatch.exactmath import (
     binomial,
     decimal_string,
@@ -156,6 +158,20 @@ class TestSignificantString:
         value = Fraction(99995, 100000)
         assert significant_string(value, 4) == "1.000e+00"
         assert significant_string(value, 4, rounding="down") == "9.999e-01"
+
+    def test_value_beyond_the_int_string_limit(self):
+        # C(16000, 8000) / 4**8000 has 4813-digit terms, above CPython's
+        # default 4300-digit int-to-str limit, which the CLI lifts but a
+        # library caller may not.
+        value = two_color_probability(8000)
+        assert value.denominator > 10**4300
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert significant_string(value, 11) == "6.3077327460e-03"
+            assert significant_string(value, 11, rounding="down") == "6.3077327459e-03"
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import json
 import math
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from packmatch.firstmatch import (
     PAIRWISE_PRECISION,
     _PAIRWISE_MAX_TERMS,
     PackSizeDistribution,
-    _pairwise_tail,
+    _geometric_tail,
     endpoint_spectrum,
     exact_pmf_and_expectation,
     mixture_match_probability,
@@ -50,7 +52,35 @@ def stopping_rule(p: Fraction, index: int, tol: float) -> Decimal | None:
         omp = 1 - pd
         term = Decimal(index * (index - 1)) * pd * omp ** ((index - 1) * (index - 2) // 2)
         ratio = Decimal(index + 1) / Decimal(index - 1) * omp ** (index - 1)
-        return _pairwise_tail(term, ratio, Decimal(str(tol)))
+        return _geometric_tail(term, ratio, Decimal(str(tol)))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def oracle_digits(n: int, d: int, precision: int | None) -> dict:
+    """reprs of every survival, its error bound and the law, for one spectrum.
+
+    ``precision`` None selects rational mode. Survivals and bounds run over
+    m = 0..N+1 with N the number of distinct endpoints; the law is taken at
+    the default tolerance from a fresh spectrum.
+    """
+    mode = "rational" if precision is None else "decimal"
+
+    def build():
+        return endpoint_spectrum(PackSpec(n, d), mode=mode, precision=precision)
+
+    spectrum = build()
+    support = range(spectrum.num_endpoints + 2)
+    law = exact_pmf_and_expectation(build())
+    return {
+        "survival": [repr(spectrum.survival(m)) for m in support],
+        "survival_error": [repr(spectrum.survival_error(m)) for m in support],
+        "expectation": repr(law.expectation),
+        "tail_bound": repr(law.tail_bound),
+        "last_index": law.last_index,
+        "precision_alarm": law.precision_alarm,
+    }
 
 
 def product_survival(spec: PackSpec, m: int) -> Fraction:
@@ -381,6 +411,18 @@ class TestExactSurvival:
                     approx.survival_error(m) for m in range(law.last_index + 1)
                 )
 
+    def test_low_precision_digits_match_golden(self):
+        # At these precisions the Newton sums cancel to a few digits, so any
+        # change in the order or sign of an operation shows in the reprs.
+        golden = json.loads((GOLDEN / "oracle_low_precision.json").read_text("utf-8"))
+        assert list(golden) == ["8,3@6", "6,3@5", "5,4@8", "5,4@rational"]
+        for key, expected in golden.items():
+            shape, _, precision = key.partition("@")
+            n, d = map(int, shape.split(","))
+            digits = oracle_digits(n, d, None if precision == "rational" else int(precision))
+            assert digits == expected, key
+        assert golden["8,3@6"]["precision_alarm"]
+
     def test_survival_error_reporting(self):
         rational = endpoint_spectrum(PackSpec(2, 2))
         rational.survival(2)
@@ -531,6 +573,8 @@ class TestPackSizeDistribution:
     def test_from_text_scientific_notation(self):
         dist = PackSizeDistribution.from_text("1 2.5e-1\n2 7.5e-1\n")
         assert dict(dist.weights) == {1: Fraction(1, 4), 2: Fraction(3, 4)}
+        edge = PackSizeDistribution.from_text("1 1\n2 1e-1000\n3 0.5E-999\n")
+        assert dict(edge.weights)[2] == Fraction(1, 10**1000) / (1 + Fraction(6, 10**1000))
 
     def test_from_text_error_messages_carry_line_numbers(self):
         with pytest.raises(ValueError, match=r"line 2: expected 'SIZE WEIGHT'"):
@@ -547,6 +591,9 @@ class TestPackSizeDistribution:
             PackSizeDistribution.from_text("1 1/2\n2 0/5\n")
         with pytest.raises(ValueError, match=r"line 1: weight '1/0'"):
             PackSizeDistribution.from_text("1 1/0\n")
+        for token in ("1e-1001", "0.09e-999", "1e1001"):
+            with pytest.raises(ValueError, match=r"line 2: .* exponent outside -1000..1000"):
+                PackSizeDistribution.from_text(f"1 1\n2 {token}\n")
 
     def test_from_text_total_validation(self):
         with pytest.raises(ValueError, match="expected exactly 1"):
