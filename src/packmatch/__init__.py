@@ -42,7 +42,7 @@ from .firstmatch import (
     pairwise_pmf,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DEFAULT_PRECISION",

@@ -308,6 +308,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "trials": args.trials,
         "seed": args.seed,
     }
+    alarm = False
     if args.kind == "pair":
         reference = float(coincidence_probability(spec))
         report = montecarlo.pair_match_rate(
@@ -328,6 +329,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         if distinct_pack_count(spec) <= _REFERENCE_ENDPOINT_LIMIT:
             law = exact_pmf_and_expectation(endpoint_spectrum(spec), tol=1e-9)
             reference = float(law.expectation)
+            alarm = law.precision_alarm
         report = montecarlo.first_match_experiment(
             spec, args.trials, args.seed, analytic_reference=reference
         )
@@ -342,7 +344,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
                 "analytic_reference": report.analytic_reference,
             }
         )
-    return record, False
+    return record, alarm
 
 
 def _render_table_plain(record: dict[str, Any]) -> str:

@@ -46,6 +46,7 @@ from .coincidence import (
     distinct_pack_count,
     partition_classes,
 )
+from .exactmath import significant_string
 
 Number = Union[Fraction, Decimal]
 
@@ -651,7 +652,7 @@ class PackSizeDistribution:
         if saw_decimal:
             if abs(total - 1) > Fraction(1, 10**9):
                 raise ValueError(
-                    f"{source}: decimal weights sum to {float(total)}, "
+                    f"{source}: decimal weights sum to {significant_string(total, 12)}, "
                     "more than 1e-9 away from 1"
                 )
             entries = [(n, w / total) for n, w in entries]

@@ -3,14 +3,20 @@
 Sampling realises the ordered filling model: a pack is ``n`` independent
 uniform draws over ``d`` colors, and only the per-color counts (the walk
 endpoint) matter for pack identity. Per-draw color sequences are sampled where
-the sequence itself is under test; otherwise endpoints are drawn directly
-from the equivalent multinomial distribution, which is faster and exactly
-matches the endpoint law of the ordered model.
+the sequence itself is under test (``endpoint_histogram``); otherwise endpoints
+come from the equivalent multinomial law, which is faster and exactly matches
+the endpoint law of the ordered model.
 
-Determinism contract: every experiment derives all generators from numpy's
-``SeedSequence`` keyed by the experiment seed and a stream index, so a report
-is a pure function of (spec, trials, seed) and chunks can be processed in any
-order without changing the result.
+The pair experiment never draws a whole endpoint it does not need. Like numpy's
+multinomial, it draws color ``c`` as ``Bin(r, 1/(d - c))`` of the ``r`` items
+not yet placed, but it draws both packs of every pair one color at a time and
+drops a pair at the first color where the two counts differ. Most pairs differ
+at the first color, whose draws share one binomial set-up.
+
+Determinism contract: trials are split into fixed-size chunks, and chunk ``i``
+draws from its own generator, keyed by numpy's ``SeedSequence`` on the
+experiment seed and stream index ``i``. A report is therefore a pure function
+of (spec, trials, seed), for a given packmatch and numpy version.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .coincidence import PackSpec, distinct_pack_count
 
 RNG_ALGORITHM = "PCG64"
 
-_PAIR_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # trials per seed stream, in both experiments
 _HISTOGRAM_CHUNK = 1 << 14
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -87,6 +93,28 @@ class TrialReport:
     analytic_reference: float | None = None
 
 
+def _matching_pairs(spec: PackSpec, rng: np.random.Generator, size: int) -> int:
+    """Count the matches among ``size`` pack pairs, deciding them color by color.
+
+    Color ``c`` of each pack is ``Bin(r, 1/(d - c))``, where ``r`` items are
+    not yet placed; ``r`` is the same in both packs while their counts agree.
+    A pair is dropped when its two draws differ and is a match when they
+    agree and place every item (each later color is 0 in both packs); the
+    rest go on, and those left after color ``d - 2`` match (the last color
+    holds the rest). The first color draws with scalar parameters, so numpy
+    sets its binomial up once.
+    """
+    matches = 0
+    remaining = spec.n
+    for color in range(spec.d - 1):
+        first, second = rng.binomial(remaining, 1.0 / (spec.d - color), size=(2, size))
+        same = first == second
+        matches += int(np.count_nonzero(same & (first == remaining)))
+        remaining = (remaining - first)[same & (first < remaining)]
+        size = remaining.size
+    return matches + size
+
+
 def pair_match_rate(
     spec: PackSpec,
     trials: int,
@@ -95,18 +123,15 @@ def pair_match_rate(
 ) -> TrialReport:
     """Estimate the probability that two independent packs match.
 
-    Draws ``trials`` independent pack pairs (endpoints sampled directly from
-    the multinomial endpoint law) in fixed-size chunks, each chunk on its own
-    seed stream, and counts equal endpoints.
+    Draws ``trials`` independent pack pairs in fixed-size chunks, each chunk
+    on its own seed stream, and counts the pairs with equal endpoints.
 
     Raises:
         ValueError: if ``trials`` is not positive or ``seed`` is negative.
     """
-    pvals = np.full(spec.d, 1.0 / spec.d)
     matches = 0
-    for rng, size in _streams(seed, trials, _PAIR_CHUNK):
-        pairs = rng.multinomial(spec.n, pvals, size=(size, 2))
-        matches += int(np.all(pairs[:, 0, :] == pairs[:, 1, :], axis=1).sum())
+    for rng, size in _streams(seed, trials, _CHUNK):
+        matches += _matching_pairs(spec, rng, size)
     ci_low, ci_high = _wilson_interval(matches, trials)
     return TrialReport(
         seed=seed,
@@ -123,22 +148,26 @@ def pair_match_rate(
 def first_match_trial(spec: PackSpec, rng: np.random.Generator) -> int:
     """Sample one first-match time: packs drawn until an endpoint repeats.
 
-    Endpoints are drawn from the multinomial endpoint law in geometrically
-    growing blocks and checked against a hash set of endpoints seen so far.
-    The result is at most distinct_pack_count(spec) + 1 by pigeonhole, so
-    the loop always terminates.
+    Endpoints are drawn from the multinomial endpoint law in blocks that grow
+    by a quarter each time, and checked against a hash set of endpoints seen
+    so far. Each block is cast once to the narrowest unsigned type that holds
+    ``n`` and keyed row by row from that one buffer. The result is at most
+    distinct_pack_count(spec) + 1 by pigeonhole, so the loop always
+    terminates.
     """
     cap = distinct_pack_count(spec) + 1
     pvals = np.full(spec.d, 1.0 / spec.d)
+    key_type = np.min_scalar_type(spec.n)
+    width = spec.d * key_type.itemsize
     seen: set[bytes] = set()
     drawn = 0
     block = 16
     while True:
         size = min(block, cap - drawn)
-        batch = rng.multinomial(spec.n, pvals, size=size)
-        for row in batch:
+        buffer = rng.multinomial(spec.n, pvals, size=size).astype(key_type).tobytes()
+        for start in range(0, len(buffer), width):
             drawn += 1
-            key = row.tobytes()
+            key = buffer[start : start + width]
             if key in seen:
                 return drawn
             seen.add(key)
@@ -146,7 +175,7 @@ def first_match_trial(spec: PackSpec, rng: np.random.Generator) -> int:
             raise AssertionError(
                 f"no repeat within {cap} packs of {spec}; sampler violated pigeonhole"
             )
-        block *= 2
+        block += block // 4
 
 
 @dataclass(frozen=True)
@@ -175,15 +204,16 @@ def first_match_experiment(
     seed: int,
     analytic_reference: float | None = None,
 ) -> FirstMatchReport:
-    """Run ``trials`` independent first-match trials, one seed stream each.
+    """Run ``trials`` independent first-match trials, one seed stream per chunk.
 
     Raises:
         ValueError: if ``trials`` is not positive or ``seed`` is negative.
     """
     histogram: dict[int, int] = {}
-    for rng, _ in _streams(seed, trials, 1):
-        value = first_match_trial(spec, rng)
-        histogram[value] = histogram.get(value, 0) + 1
+    for rng, size in _streams(seed, trials, _CHUNK):
+        for _ in range(size):
+            value = first_match_trial(spec, rng)
+            histogram[value] = histogram.get(value, 0) + 1
     total = sum(value * count for value, count in histogram.items())
     total_sq = sum(value * value * count for value, count in histogram.items())
     mean = total / trials

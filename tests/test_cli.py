@@ -397,6 +397,16 @@ class TestMixture:
             assert b"line 2" in result.stderr
             assert b"exponent outside -1000..1000" in result.stderr
 
+    def test_decimal_total_beyond_float_range_is_usage_error(self, tmp_path):
+        # The total used to be rendered through float(), which overflowed.
+        for token, total in (("1e400", "1.00000000000e+400"), ("9.9e1000", "9.90000000000e+1000")):
+            path = tmp_path / "overflow.txt"
+            path.write_text(f"1 1\n2 {token}\n", encoding="utf-8")
+            code, out, err = run_cli("mixture", str(path), "--d", "2")
+            assert code == 2, token
+            assert out == ""
+            assert f"error: {path}: decimal weights sum to {total}" in err
+
     def test_missing_file_exit_code(self, tmp_path):
         code, _, err = run_cli("mixture", str(tmp_path / "none.txt"), "--d", "2")
         assert code == 2
@@ -438,6 +448,26 @@ class TestSimulate:
         assert set(record["histogram"]) == {"2", "3"}
         assert sum(record["histogram"].values()) == 2000
         assert abs(record["mean"] - 2.5) < 5 * 0.5 / (2000**0.5)
+
+    def test_firstmatch_precision_alarm_exit_code(self, monkeypatch):
+        fake = FirstMatchLaw(
+            model="exact-oracle",
+            mode="decimal",
+            pmf={2: Decimal("0.5")},
+            expectation=Decimal("2.5"),
+            tail_bound=Decimal(0),
+            last_index=2,
+            precision=8,
+            precision_alarm=True,
+            survival_error=Decimal("0.25"),
+        )
+        monkeypatch.setattr(cli, "exact_pmf_and_expectation", lambda spectrum, tol: fake)
+        code, out, err = run_cli(
+            "simulate", "firstmatch", "--n", "1", "--d", "2", "--trials", "10", "--seed", "1"
+        )
+        assert code == 3
+        assert "precision alarm" in err
+        assert "analytic_reference: 2.5" in out
 
     def test_default_seed_is_logged(self):
         record = run_json(

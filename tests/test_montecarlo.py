@@ -25,7 +25,9 @@ from packmatch.coincidence import (
     distinct_pack_count,
     endpoint_probability,
 )
+from packmatch.firstmatch import endpoint_spectrum, exact_pmf_and_expectation
 from packmatch.montecarlo import (
+    _CHUNK,
     RNG_ALGORITHM,
     FirstMatchReport,
     _generator,
@@ -80,6 +82,20 @@ class TestPairMatchRate:
         assert report.matches == 100
         assert report.estimate == 1.0
         assert report.ci_low <= report.estimate <= report.ci_high
+
+    def test_one_color_always_matches(self):
+        report = pair_match_rate(PackSpec(5, 1), 1000, 2)
+        assert report.matches == 1000
+        assert type(report.matches) is int
+        assert report.estimate == 1.0
+
+    def test_three_colors_deep_within_five_standard_errors(self):
+        # At (3, 4) a pair is decided only after colors 0, 1 and 2 all agree.
+        trials = 2 * 10**5
+        truth = float(coincidence_probability(PackSpec(3, 4)))
+        report = pair_match_rate(PackSpec(3, 4), trials, 19)
+        standard_error = math.sqrt(truth * (1 - truth) / trials)
+        assert abs(report.estimate - truth) < 5 * standard_error
 
     def test_estimate_inside_interval_invariant(self):
         for seed in range(10):
@@ -169,6 +185,27 @@ class TestFirstMatchExperiment:
         # value (~3.98, and ~3.07 under a survival-style variant): both sit
         # far outside the 5-sigma band around 26/9.
         assert abs(report.mean - 3.074) > 20 * standard_error
+
+    def test_deterministic_across_chunks(self):
+        trials = _CHUNK + 7
+        first = first_match_experiment(PackSpec(1, 2), trials, 23)
+        second = first_match_experiment(PackSpec(1, 2), trials, 23)
+        assert first == second
+        assert set(first.histogram) == {2, 3}
+        assert sum(first.histogram.values()) == trials
+
+    def test_multi_chunk_histogram_matches_exact_law(self):
+        # Chi-square goodness of fit at significance 0.001 over three seed
+        # streams, against the exact first-match law (support 2..7).
+        spec = PackSpec(2, 3)
+        trials = 2 * _CHUNK + 100
+        law = exact_pmf_and_expectation(endpoint_spectrum(spec))
+        assert law.mode == "rational" and law.tail_bound == 0
+        report = first_match_experiment(spec, trials, 29)
+        assert set(report.histogram) <= set(law.pmf)
+        observed = [report.histogram.get(m, 0) for m in law.pmf]
+        expected = [float(mass) * trials for mass in law.pmf.values()]
+        assert chisquare(observed, expected).pvalue > 0.001
 
     def test_trivial_experiment(self):
         report = first_match_experiment(PackSpec(0, 1), 10, 9)
