@@ -42,6 +42,7 @@ from .coincidence import (
 )
 from .exactmath import decimal_string, significant_string
 from .firstmatch import (
+    DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
     PackSizeDistribution,
     endpoint_spectrum,
@@ -426,8 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     print(_render(record, args.format))
     if alarm:
         print(
-            "precision alarm: decimal-mode error bounds exceeded the threshold; "
-            "rerun with higher precision",
+            "precision alarm: decimal-mode error bounds exceeded the threshold, so the "
+            f"exact oracle's digits are suspect; the CLI runs it at {DEFAULT_PRECISION} digits, "
+            "and the library call packmatch.endpoint_spectrum(spec, precision=P) runs it at more",
             file=sys.stderr,
         )
         return EXIT_PRECISION

@@ -58,13 +58,10 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return result
 
 
-def _round_half_even(scaled: Fraction) -> int:
-    """The integer nearest to a non-negative rational, ties to the even one."""
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * r
-    if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
-        q += 1
-    return q
+# Exact decimal arithmetic: integer results of any length, never rounded.
+_EXACT_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
 
 
 def decimal_string(value: Rational, digits: int = 4) -> str:
@@ -72,7 +69,10 @@ def decimal_string(value: Rational, digits: int = 4) -> str:
 
     Rounding is round-half-to-even, computed on the exact value, so the
     output is the correctly rounded fixed-point representation. For example
-    ``decimal_string(Fraction(3, 8), 4) == "0.3750"``.
+    ``decimal_string(Fraction(3, 8), 4) == "0.3750"``. The value is one exact
+    ``decimal`` division with remainder of the numerator times 10**digits by
+    the denominator; it never goes through ``str`` of a large integer, so it
+    renders any digit count in time close to linear in it.
 
     Raises:
         ValueError: if ``digits`` is negative.
@@ -81,7 +81,13 @@ def decimal_string(value: Rational, digits: int = 4) -> str:
         raise ValueError(f"digits must be non-negative, got {digits}")
     value = Fraction(value)
     sign = "-" if value < 0 else ""
-    text = str(_round_half_even(abs(value) * Fraction(10**digits)))
+    with decimal.localcontext(_EXACT_CONTEXT):
+        den = Decimal(value.denominator)
+        quotient, remainder = divmod(Decimal(abs(value.numerator)).scaleb(digits), den)
+        double = 2 * remainder
+        if double > den or (double == den and quotient % 2 == 1):
+            quotient += 1
+    text = str(quotient)
     if digits == 0:
         return sign + text
     text = text.rjust(digits + 1, "0")

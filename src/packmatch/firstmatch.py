@@ -19,12 +19,15 @@ through Newton's identities over the endpoint power sums
 ``S_j = sum_v q_v^j``, carried on the signed values (-1)**m * e_m so that
 every step is a plain negated sum of products. Endpoints sharing a
 probability are grouped into classes (one class per partition shape), which
-shrinks the working set by orders of magnitude. Small problems run in exact
-arithmetic: Newton's identities on integers (the probabilities share the
-denominator d**n), with exact division by k and one Fraction per survival.
-Larger ones use high-precision decimal arithmetic with a precision alarm and
-a tracked error bound per survival. One recurrence bounds them all: Newton's identities with
-every sign positive, run at 8 significant digits with upward rounding on
+shrinks the working set by orders of magnitude. Once few classes remain,
+the far terms of each Newton sum are carried by one running tail sum per
+class, so a step costs the head length plus the class count instead of m.
+Small problems run in exact arithmetic: Newton's identities on integers
+(the probabilities share the denominator d**n), with exact division by k and
+one Fraction per survival. Larger ones use high-precision decimal
+arithmetic with a precision alarm and a tracked error bound per survival.
+One recurrence bounds them all: Newton's identities with every sign
+positive, run at 8 significant digits with upward rounding on
 upper bounds of the power sums, bound the complete homogeneous polynomials
 h_k >= e_k, and the error of each e_k is proportional to h_k. The law is
 summed at a fixed 28 significant digits.
@@ -210,6 +213,33 @@ def _endpoint_classes(spec: PackSpec) -> list[tuple[int, int]]:
     return sorted(merged.items(), key=lambda item: item[0], reverse=True)
 
 
+def _newton_sum(
+    values: list[Number],
+    sums: list[Number],
+    split: int | None,
+    tail: list[Number],
+    base: list[Number],
+    inject: list[Number],
+) -> Number:
+    """Newton's sum sum_{i=1..k} values[k - i] * S_i, with k = len(values).
+
+    Up to index ``split`` (or with no split) this is the convolution with the
+    power sums ``sums``. Past it the head runs over S_1..S_split, and the
+    terms with i > split are the tail sums U_c = m_c * sum_{i > split} q_c**i
+    * values[k - i], one per class still active at the split; each first
+    advances one step in place, U_c <- q_c * U_c + inject_c *
+    values[k - split - 1] with inject_c = m_c * q_c**(split + 1). Arithmetic
+    runs in the caller's context.
+    """
+    k = len(values)
+    if split is None or k <= split:
+        return sum(map(operator.mul, reversed(values), sums))
+    head = sum(map(operator.mul, reversed(values), sums[:split]))
+    lag = [values[k - split - 1]] * len(tail)
+    tail[:] = map(operator.add, map(operator.mul, base, tail), map(operator.mul, inject, lag))
+    return sum(tail, head)
+
+
 class EndpointSpectrum:
     """Endpoint probabilities of a pack shape, aggregated for the exact oracle.
 
@@ -224,6 +254,22 @@ class EndpointSpectrum:
     E_k = (-1)**k * e_k, each step is k * E_k = -sum_i E_{k-i} * S_i over the
     plain power sums, and the survival is (-1)**k * k! * E_k.
 
+    The Newton sum is split once few classes remain. Let A_j be the number of
+    classes still active after index j (all of them in rational mode; decimal
+    mode prunes, see below) and s the first index with 2 * A_s <= s, where
+    the tails' two products and one add per class cost no more than the
+    head's s multiply-adds. Past s the power sums keep exactly those
+    A_s classes, so sum_{i > s} E_{k-i} S_i = sum_c U_c(k) with
+    U_c(k) = m_c * sum_{i=s+1..k} q_c**i * E_{k-i}, and each step advances it
+    exactly by U_c(k + 1) = q_c * U_c(k) + (m_c * q_c**(s+1)) * E_{k-s}.
+    A step then costs s + A_s multiply-adds instead of k, and no power sum
+    past S_{s+1}, whose class terms are the m_c * q_c**(s+1), is formed.
+    Rational mode runs the same recurrence on the integers w_c and
+    m_c * w_c**(s+1), so its values are exact as before. When no index
+    satisfies the rule before the walk ends, every step is the plain
+    convolution. :attr:`split_index` and :attr:`tail_classes` report s and
+    A_s.
+
     Two arithmetic modes exist. ``"rational"`` is exact: the endpoint
     probabilities are w / D with integer weights w and D = d**n, so it keeps
     the integer power sums P_j = sum w**j and runs the recurrence on the
@@ -234,29 +280,61 @@ class EndpointSpectrum:
     (10**-(precision // 2)) the sticky ``precision_alarm`` flag is raised. In
     decimal mode, classes whose current power has decayed below
     10**-(precision + 12) times the leading class's power are dropped from
-    later power sums, which stays far below the tracked error bounds.
+    later power sums (up to the split, whose tails keep the classes active
+    there), which stays far below the tracked error bounds.
     Decimal negation is exact and half-even rounding is symmetric in sign, so
     the signed values are, up to sign, the unsigned recurrence's values.
 
     The decimal bound, to first order in ulp = 10**(1 - precision), with N
-    the number of classes. Each computed power sum has relative error at
-    most sigma_j = (N + j + 6) ulp (conversion, j power roundings, one
-    product and one add per class, and the pruning slack), so the computed
-    S_j times (1 + sigma_j) is an upper bound S+_j on the exact S_j. Newton's
-    identities with every sign positive, k H_k = sum_i H_{k-i} S+_i with
-    H_0 = 1, give H_k >= h_k >= e_k, where h_k is the complete homogeneous
-    polynomial of the probabilities. If every earlier e_j is off by at most
-    c_j ulp h_j, the k-th Newton step inherits at most c_{k-1} ulp k h_k
-    from the e_{k-i}, (N + k + 6) ulp k h_k from the S_i, k ulp k h_k from
-    its k products and additions, and after the division by k another
-    2 ulp h_k (its rounding, and one ulp to spare). So
-    c_k = c_{k-1} + N + 2k + 8, that is c_k = k (N + k + 9). The survival
-    k! e_k adds (k + 2) ulp of its own value for k! and the product, hence
+    the number of classes. Every rounded operation is off by at most half an
+    ulp of its result. A computed class power q**j carries j half-ulps from
+    the rounded q and j - 1 from its products; with one more for the product
+    by the multiplicity, N - 1 for the additions, and the pruning slack (a
+    dropped class weighs at most 10**-(precision + 12) times the leading
+    class at every later index, and the multiplicities sum to at most
+    ENDPOINT_CEILING = 10**7, so the dropped classes together weigh at most
+    10**-6 ulp of S_j), each computed power sum has relative error at most
+    sigma_j = (N + j + 6) ulp. So the computed S_j times (1 + sigma_j) is an
+    upper bound S+_j on the exact S_j. Newton's identities with every sign
+    positive, k H_k = sum_i H_{k-i} S+_i with H_0 = 1, give H_k >= h_k >= e_k,
+    where h_k is the complete homogeneous polynomial of the probabilities;
+    k h_k = sum_i h_{k-i} S_i bounds every term magnitude and partial sum of
+    the k-th Newton sum.
+
+    If every earlier e_j is off by at most c_j ulp h_j, the k-th Newton step
+    inherits at most c_{k-1} ulp k h_k from the e_{k-i} (c grows with j), and
+    its own roundings cost at most (N + 2k + 6) ulp k h_k. Before the split,
+    the S_i cost (N + k + 6) ulp and the k products and k - 1 additions at
+    most k ulp. Past the split (k > s), the sum makes s - 1 + A_s rounded
+    additions, each off by half an ulp of a partial sum, so at most
+    (s + A_s - 1) / 2 ulp in all. A head term E_{k-i} S_i (i <= s) also
+    carries sigma_i plus half an ulp for its product, and the head's total
+    N + s + 6 + (s + A_s) / 2 <= N + 7s/4 + 6 stays below N + 2k + 6 because
+    A_s <= s / 2 and s < k. A tail term m_c q_c**i E_{k-i} carries
+    (i + s + 2) / 2 ulp of its own: i half-ulps from the rounded q_c, s from
+    the products that form q_c**(s+1), and one each for the products by m_c
+    and by E_{k-i} when it entered U_c. Each step from s + 2 to k also
+    rounds U_c twice (the product and the add), each time by half an ulp of
+    |U_c|, which later steps only scale by q_c; that is k - s - 1 ulp of
+    the term magnitudes. A tail term's total,
+    (3k - s) / 2 + (s + A_s - 1) / 2 < (3k + N) / 2, also stays below
+    N + 2k + 6, which leaves room for the classes dropped before s. After
+    the division by k comes another 2 ulp h_k (its rounding, and one ulp to
+    spare). So c_k = c_{k-1} + N + 2k + 8, that is c_k = k (N + k + 9). The
+    survival k! e_k adds (k + 2) ulp of its own value for k! and the
+    product, hence
     ``survival_error(k) = ulp (k (N + k + 9) k! H_k + (k + 2) |surv_k|)``.
-    S+_j, H_k, k! and the bound itself are evaluated with every operation
-    rounded upward at 8 significant digits (``BOUND_PRECISION``,
-    ROUND_CEILING), so each bound is at least the formula's exact value and
-    has at most 8 significant digits.
+
+    Past the split the bound takes the same route,
+    V_c(k + 1) = q+_c V_c(k) + inj+_c H_{k-s}. Here q+_c = q_c (1 + ulp) is
+    at least the exact probability, as the conversion is off by half an ulp.
+    inj+_c = m_c q_c**(s+1) (1 + sigma_{s+1}) covers the (s + 1) ulp of the
+    computed term and, through the leading class, which is never dropped,
+    the classes dropped before s. S+_j, H_k, k!, q+_c, inj+_c, V_c and the
+    bound itself are evaluated with every operation rounded upward at 8
+    significant digits (``BOUND_PRECISION``, ROUND_CEILING), so H_k stays at
+    least h_k, each bound is at least the formula's exact value, and it has
+    at most 8 significant digits.
 
     Instances are not thread-safe; share them only with external locking.
     """
@@ -278,6 +356,12 @@ class EndpointSpectrum:
         self.max_survival_error: Decimal | None = None
         self._alarm = False
         self._active = self.num_classes
+        # Newton split (see the class docstring): the index s, one running
+        # tail sum U_c per class active at s, and their injections
+        # m_c * q_c**(s + 1).
+        self._split: int | None = None
+        self._tail: list[Number] = []
+        self._inject: list[Number] = []
 
         if mode == "rational":
             self._den = spec.d**spec.n
@@ -310,6 +394,12 @@ class EndpointSpectrum:
             # homogeneous bounds H_k, k!, and the bound of each survival.
             self._sums_up: list[Decimal] = []
             self._homog_up = [Decimal(1)]
+            # The same split for the bounds: the running tail sums V_c, and
+            # upper bounds q+_c on the tail classes' probabilities and on
+            # their injections.
+            self._tail_up: list[Decimal] = []
+            self._base_up: list[Decimal] = []
+            self._inject_up: list[Decimal] = []
             self._fact_up = Decimal(1)
             self._surv_err = [Decimal(0)] * 2
         self._cur = list(self._base)
@@ -318,6 +408,21 @@ class EndpointSpectrum:
     def precision_alarm(self) -> bool:
         """True once any survival error bound exceeded the alarm threshold."""
         return self._alarm
+
+    @property
+    def split_index(self) -> int | None:
+        """The index s past which Newton's sum carries one tail sum per class.
+
+        s is the first index with at most s / 2 classes still active. None
+        until the power sums reach it, so None throughout a walk that ends
+        first.
+        """
+        return self._split
+
+    @property
+    def tail_classes(self) -> int:
+        """Number of classes carried by tail sums past the split; 0 before it."""
+        return len(self._tail)
 
     def power_sum(self, j: int) -> Number:
         """S_j = sum over endpoints of q^j, grown up to ``j`` if needed.
@@ -335,36 +440,51 @@ class EndpointSpectrum:
     def ensure_power(self, j: int) -> None:
         """Extend the power sums so that S_1..S_j are available."""
         cur = self._cur
+        sums = self._power_sums
         with decimal.localcontext(self._ctx):
-            while len(self._power_sums) < j:
+            while len(sums) < j:
                 active = self._active
-                if self._power_sums:
+                if sums:
                     cur[:active] = map(operator.mul, cur[:active], self._base)
-                total = sum(map(operator.mul, self._mults[:active], cur[:active]))
-                self._power_sums.append(total)
-                if self.mode == "rational":
-                    continue
-                # First-order relative bound on S_j: conversion, j power
-                # roundings, one product and one add per class, plus the
-                # pruning slack.
-                with decimal.localcontext(_BOUND_CONTEXT):
-                    sigma = Decimal(self.num_classes + len(self._power_sums) + 6) * self._ulp
-                    self._sums_up.append(total * (1 + sigma))
-                # Drop classes that can no longer move S at this precision.
-                cutoff = cur[0] * self._prune
-                while self._active > 1 and cur[self._active - 1] < cutoff:
-                    self._active -= 1
+                terms = map(operator.mul, self._mults[:active], cur[:active])
+                seeding = len(sums) == self._split
+                if seeding:
+                    # The class terms m_c * q_c**(s + 1) of S_{s+1} seed the tails.
+                    terms = self._inject = list(terms)
+                total = sum(terms)
+                sums.append(total)
+                if self.mode == "decimal":
+                    # First-order relative bound on S_j: conversion, j power
+                    # roundings, one product and one add per class, plus the
+                    # pruning slack.
+                    with decimal.localcontext(_BOUND_CONTEXT):
+                        sigma = Decimal(self.num_classes + len(sums) + 6) * self._ulp
+                        self._sums_up.append(total * (1 + sigma))
+                        if seeding:
+                            self._inject_up = [term * (1 + sigma) for term in self._inject]
+                            self._base_up = [q * (1 + self._ulp) for q in self._base[:active]]
+                            self._tail_up = [0] * active
+                    # Drop classes that can no longer move S at this precision.
+                    cutoff = cur[0] * self._prune
+                    while self._active > 1 and cur[self._active - 1] < cutoff:
+                        self._active -= 1
+                if self._split is None and 2 * self._active <= len(sums):
+                    self._split = len(sums)
+                    self._tail = [0] * self._active
 
     def _extend_newton(self, m: int) -> None:
         if m < len(self._surv):
             return
-        self.ensure_power(m)
         elem = self._elem
         with decimal.localcontext(self._ctx):
             while len(elem) <= m:
                 k = len(elem)
+                if self._split is None or k == self._split + 1:
+                    self.ensure_power(k)
                 # k * E_k = -sum_i E_{k-i} * S_i, with E_k = (-1)**k * e_k.
-                total = -sum(map(operator.mul, reversed(elem), self._power_sums))
+                total = -_newton_sum(
+                    elem, self._power_sums, self._split, self._tail, self._base, self._inject
+                )
                 if self.mode == "rational":
                     signed, remainder = divmod(total, k)
                     if remainder:
@@ -386,7 +506,10 @@ class EndpointSpectrum:
         with decimal.localcontext(_BOUND_CONTEXT):
             # k * H_k = sum_i H_{k-i} * S+_i, and e_k is off by at most
             # k * (N + k + 9) * ulp * H_k (see the class docstring).
-            homog.append(sum(map(operator.mul, reversed(homog), self._sums_up)) / k)
+            total = _newton_sum(
+                homog, self._sums_up, self._split, self._tail_up, self._base_up, self._inject_up
+            )
+            homog.append(total / k)
             self._fact_up *= k
             surv_err = self._ulp * (
                 k * (self.num_classes + k + 9) * self._fact_up * homog[k] + (k + 2) * abs(surv)

@@ -245,7 +245,19 @@ class TestExpect:
         assert exact["tail_bound"] == "9.601324364902163106659309485E-13"
         assert exact["last_index"] == 1351
         assert exact["precision_alarm"] is False
-        assert exact["survival_error"] == "9.9004844E-108"
+        assert exact["survival_error"] == "9.5881335E-108"
+
+    def test_exact_decimal_golden_many_steps(self):
+        # 4614 survival steps over 64 classes: the Newton sum splits at 49,
+        # so this takes under a second where the plain convolution took 15 s.
+        record = run_json("expect", "--n", "12", "--d", "12", "--model", "exact")
+        exact = record["exact"]
+        assert exact["mode"] == "decimal"
+        assert exact["expectation"] == "722.8655814434752728354409330"
+        assert exact["tail_bound"] == "9.867929456055610554005908147E-13"
+        assert exact["last_index"] == 4614
+        assert exact["precision_alarm"] is False
+        assert Decimal(exact["survival_error"]) < Decimal("1e-64")
 
     def test_exact_rational_golden(self):
         golden = Path(__file__).resolve().parent / "golden" / "expect_n7_d7_exact.json"

@@ -131,6 +131,20 @@ class TestDecimalString:
         with pytest.raises(ValueError):
             decimal_string(Fraction(1, 3), -1)
 
+    def test_digits_beyond_the_int_string_limit(self):
+        # 5000 and more digits, and terms above CPython's default 4300-digit
+        # int-to-str limit, which the CLI lifts but a library caller may not.
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert decimal_string(Fraction(1, 3), 5000) == "0." + "3" * 5000
+            assert decimal_string(Fraction(-2, 3), 5000) == "-0." + "6" * 4999 + "7"
+            assert decimal_string(Fraction(10**5000 + 1, 2), 0) == "5" + "0" * 4999
+            value = two_color_probability(8000)
+            assert decimal_string(value, 12) == "0.006307732746"
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     @given(st.fractions(min_value=-10, max_value=10), st.integers(0, 8))
     def test_rendering_error_at_most_half_ulp(self, value, digits):
         text = decimal_string(value, digits)

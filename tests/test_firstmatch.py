@@ -83,8 +83,8 @@ def oracle_digits(n: int, d: int, precision: int | None) -> dict:
     }
 
 
-def product_survival(spec: PackSpec, m: int) -> Fraction:
-    """m! * e_m(q) from the product prod_v (1 + w_v x), without Newton's identities.
+def product_survivals(spec: PackSpec, m: int) -> list[Fraction]:
+    """k! * e_k(q) for k = 0..m from the product prod_v (1 + w_v x), without Newton's identities.
 
     ``w_v = D * q_v`` are the integer endpoint weights, ``D = d**n``; endpoints
     with equal weights are expanded together as binomials (1 + w x)**mult.
@@ -100,7 +100,12 @@ def product_survival(spec: PackSpec, m: int) -> Fraction:
             sum(poly[i - j] * factor[j] for j in range(min(i, len(factor) - 1) + 1))
             for i in range(m + 1)
         ]
-    return Fraction(math.factorial(m) * poly[m], den**m)
+    return [Fraction(math.factorial(k) * poly[k], den**k) for k in range(m + 1)]
+
+
+def product_survival(spec: PackSpec, m: int) -> Fraction:
+    """m! * e_m(q) from the product prod_v (1 + w_v x); see :func:`product_survivals`."""
+    return product_survivals(spec, m)[m]
 
 
 class TestPairwisePmf:
@@ -385,6 +390,50 @@ class TestExactSurvival:
         long_walk = endpoint_spectrum(PackSpec(7, 7))
         assert long_walk.mode == "rational"
         assert long_walk.survival(216) == product_survival(PackSpec(7, 7), 216)
+
+    def test_split_rational_walk_matches_product_expansion(self):
+        # (7, 7) has 14 classes, so the Newton sum splits at s = 28 and the
+        # 188 steps past it run on the tail sums; every survival stays exact.
+        spec = PackSpec(7, 7)
+        spectrum = endpoint_spectrum(spec)
+        assert spectrum.mode == "rational"
+        assert spectrum.split_index is None
+        assert [spectrum.survival(m) for m in range(217)] == product_survivals(spec, 216)
+        assert spectrum.split_index == 28
+        assert spectrum.tail_classes == spectrum.num_classes == 14
+
+    def test_split_counters(self):
+        # The split waits until 2 * (classes still active) <= index.
+        flagship = endpoint_spectrum(PackSpec(60, 5))
+        flagship.survival(173)
+        assert (flagship.split_index, flagship.tail_classes) == (173, 85)
+        # Pruned to about half its 36 classes by index 46 at 128 digits;
+        # fewer digits prune sooner.
+        for precision, split, tail in [(40, 26, 13), (128, 46, 23), (256, 62, 31)]:
+            spectrum = endpoint_spectrum(PackSpec(10, 10), mode="decimal", precision=precision)
+            spectrum.survival(split)
+            assert (spectrum.split_index, spectrum.tail_classes) == (split, tail)
+        # The walk ends before the rule holds: plain convolution throughout.
+        for shape in [(140, 3), (300, 2)]:
+            spectrum = endpoint_spectrum(PackSpec(*shape))
+            law = exact_pmf_and_expectation(spectrum)
+            assert law.last_index < 2 * spectrum.num_classes
+            assert spectrum.split_index is None
+            assert spectrum.tail_classes == 0
+
+    def test_precisions_agree_within_their_bounds_past_the_split(self):
+        # 40 and 256 digits split at different indices (26 and 62) and prune
+        # differently, yet every survival of the (10, 10) walk agrees within
+        # the sum of the two tracked bounds.
+        spec = PackSpec(10, 10)
+        low = endpoint_spectrum(spec, mode="decimal", precision=40)
+        high = endpoint_spectrum(spec, mode="decimal", precision=256)
+        last = exact_pmf_and_expectation(high).last_index
+        assert last == 1351
+        for m in range(last + 1):
+            gap = abs(Fraction(low.survival(m)) - Fraction(high.survival(m)))
+            assert gap <= Fraction(low.survival_error(m)) + Fraction(high.survival_error(m)), m
+        assert (low.split_index, high.split_index) == (26, 62)
 
     def test_decimal_mode_matches_rational_within_tracked_error(self):
         # Every n <= 10, 2 <= d <= 6 with at most 300 endpoints: 41 shapes.
