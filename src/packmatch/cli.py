@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Callable
@@ -297,7 +298,10 @@ def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    # numpy import deferred so the exact subcommands start fast.
+    # numpy import deferred so the exact subcommands start fast. Sampling
+    # never calls BLAS, so an idle OpenBLAS worker thread only costs CPU;
+    # a value the user has set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import montecarlo
 
     spec = PackSpec(args.n, args.d)

@@ -13,15 +13,23 @@ not yet placed, but it draws both packs of every pair one color at a time and
 drops a pair at the first color where the two counts differ. Most pairs differ
 at the first color, whose draws share one binomial set-up.
 
+The first-match experiment runs a chunk's trials in one kernel,
+``_first_match_times``. Each trial draws endpoints in growing blocks; the
+kernel draws rows for many trials in one multinomial call, which leaves the
+stream unchanged, and checks each block for a repeat with C-level set
+operations, scanning pack by pack only in the block that holds the repeat.
+
 Determinism contract: trials are split into fixed-size chunks, and chunk ``i``
 draws from its own generator, keyed by numpy's ``SeedSequence`` on the
-experiment seed and stream index ``i``. A report is therefore a pure function
-of (spec, trials, seed), for a given packmatch and numpy version.
+experiment seed and stream index ``i``. Within a chunk, the first-match block
+schedule fixes which rows each trial uses. A report is therefore a pure
+function of (spec, trials, seed), for a given packmatch and numpy version.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,6 +41,7 @@ RNG_ALGORITHM = "PCG64"
 
 _CHUNK = 1 << 16  # trials per seed stream, in both experiments
 _HISTOGRAM_CHUNK = 1 << 14
+_DRAW_BUDGET = 1 << 12  # integers per first-match multinomial call (at least 16 rows)
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -145,37 +154,78 @@ def pair_match_rate(
     )
 
 
-def first_match_trial(spec: PackSpec, rng: np.random.Generator) -> int:
-    """Sample one first-match time: packs drawn until an endpoint repeats.
+def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) -> list[int]:
+    """Sample ``trials`` first-match times in turn from one generator.
 
-    Endpoints are drawn from the multinomial endpoint law in blocks that grow
-    by a quarter each time, and checked against a hash set of endpoints seen
-    so far. Each block is cast once to the narrowest unsigned type that holds
-    ``n`` and keyed row by row from that one buffer. The result is at most
-    distinct_pack_count(spec) + 1 by pigeonhole, so the loop always
-    terminates.
+    A trial draws multinomial endpoints in blocks: the first holds 16 packs,
+    each later one a quarter more, capped at ``cap - drawn``. The rest of the
+    block that holds the repeat is discarded, and the next trial starts after
+    that block. numpy's multinomial rows do not depend on how the calls are
+    split, so a call draws ``max(16, _DRAW_BUDGET // d)`` rows whatever the
+    block: a call for a short block draws ahead for later trials, and a long
+    block takes several calls. With one trial, calls stop at the end of the
+    trial's last block, so ``rng`` is left where the trial ends.
+
+    Each row is cast to the narrowest unsigned type that holds ``n`` and kept
+    as one bytes key. A block is checked against the keys seen so far and
+    added to them by C-level set operations; only the block that holds the
+    repeat is scanned pack by pack. A trial ends by pack
+    distinct_pack_count(spec) + 1 by pigeonhole, so the loop terminates.
     """
     cap = distinct_pack_count(spec) + 1
     pvals = np.full(spec.d, 1.0 / spec.d)
     key_type = np.min_scalar_type(spec.n)
-    width = spec.d * key_type.itemsize
-    seen: set[bytes] = set()
-    drawn = 0
-    block = 16
-    while True:
-        size = min(block, cap - drawn)
-        buffer = rng.multinomial(spec.n, pvals, size=size).astype(key_type).tobytes()
-        for start in range(0, len(buffer), width):
+    row_type = np.dtype((np.void, spec.d * key_type.itemsize))
+    step = max(16, _DRAW_BUDGET // spec.d)  # rows per multinomial call
+    keys: list[bytes] = []
+    used = 0  # keys[:used] belong to blocks already taken
+    times = []
+    for _ in range(trials):
+        seen: set[bytes] = set()
+        drawn = 0
+        block = 16
+        while True:
+            size = min(block, cap - drawn)
+            if len(keys) - used < size:
+                del keys[:used]
+                used = 0
+                while len(keys) < size:
+                    rows = step if trials > 1 else min(step, size - len(keys))
+                    # One expression, so no count array outlives its cast.
+                    keys += (
+                        rng.multinomial(spec.n, pvals, size=rows)
+                        .astype(key_type).view(row_type).ravel().tolist()
+                    )
+            packs = keys[used : used + size]
+            used += size
+            if not seen.isdisjoint(packs):
+                break
+            seen.update(packs)
+            if len(seen) < drawn + size:
+                seen = set()  # the block repeats itself; none of its keys came earlier
+                break
+            drawn += size
+            if drawn >= cap:
+                raise AssertionError(
+                    f"no repeat within {cap} packs of {spec}; sampler violated pigeonhole"
+                )
+            block += block // 4
+        for key in packs:
             drawn += 1
-            key = buffer[start : start + width]
             if key in seen:
-                return drawn
+                break
             seen.add(key)
-        if drawn >= cap:
-            raise AssertionError(
-                f"no repeat within {cap} packs of {spec}; sampler violated pigeonhole"
-            )
-        block += block // 4
+        times.append(drawn)
+    return times
+
+
+def first_match_trial(spec: PackSpec, rng: np.random.Generator) -> int:
+    """Sample one first-match time: packs drawn until an endpoint repeats.
+
+    Draws exactly the blocks of :func:`_first_match_times` from ``rng``. The
+    result is at most distinct_pack_count(spec) + 1 by pigeonhole.
+    """
+    return _first_match_times(spec, rng, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -209,11 +259,9 @@ def first_match_experiment(
     Raises:
         ValueError: if ``trials`` is not positive or ``seed`` is negative.
     """
-    histogram: dict[int, int] = {}
+    histogram: Counter[int] = Counter()
     for rng, size in _streams(seed, trials, _CHUNK):
-        for _ in range(size):
-            value = first_match_trial(spec, rng)
-            histogram[value] = histogram.get(value, 0) + 1
+        histogram.update(_first_match_times(spec, rng, size))
     total = sum(value * count for value, count in histogram.items())
     total_sq = sum(value * value * count for value, count in histogram.items())
     mean = total / trials

@@ -573,6 +573,30 @@ class TestSubprocessDeterminism:
         )
         assert result.returncode == 0, result.stderr
 
+    def blas_threads_after(self, argv: list[str], preset: str | None) -> str:
+        """OPENBLAS_NUM_THREADS after ``cli.main(argv)`` in a child whose value is ``preset``."""
+        script = (
+            "import os, sys\n"
+            "from packmatch import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "sys.stderr.write(repr(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+        )
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stderr.decode()
+
+    def test_simulate_runs_one_blas_thread_unless_set(self):
+        argv = ["simulate", "pair", "--n", "1", "--d", "2", "--trials", "10"]
+        assert self.blas_threads_after(argv, None) == "'1'"
+        assert self.blas_threads_after(argv, "2") == "'2'"
+        assert self.blas_threads_after(["prob", "--n", "2", "--d", "2"], None) == "None"
+
     def test_byte_identical_seeded_simulation(self):
         argv = [
             "simulate", "firstmatch", "--n", "2", "--d", "3", "--trials", "300",

@@ -11,13 +11,17 @@ test is deterministic anyway (fixed seeds):
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.stats import binomtest, chisquare
 
+from packmatch import montecarlo
 from packmatch.coincidence import (
     PackSpec,
     coincidence_probability,
@@ -37,6 +41,41 @@ from packmatch.montecarlo import (
     first_match_trial,
     pair_match_rate,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (n, d, trials, seed) of each pinned experiment; (2, 3) crosses a chunk.
+_GOLDEN_EXPERIMENTS = [
+    (12, 12, 300, 3),
+    (60, 5, 500, 5),
+    (2, 3, _CHUNK + 7, 29),
+    (1, 2000, 30, 2),
+    (0, 4, 50, 7),
+    (2, 2, 1000, 13),
+]
+_GOLDEN_TRIAL_SHAPES = [(12, 12), (2, 2)]
+
+
+def first_match_digits() -> dict:
+    """Seeded first-match output: experiment histograms and means, and trial runs.
+
+    Each trial run is the first 20 ``first_match_trial`` values from
+    ``_generator(3, 0)`` and the generator's state after them, so it pins
+    both the values and how many endpoints the trials drew.
+    """
+    experiments = {}
+    for n, d, trials, seed in _GOLDEN_EXPERIMENTS:
+        report = first_match_experiment(PackSpec(n, d), trials, seed)
+        experiments[f"{n},{d}x{trials}@{seed}"] = {
+            "histogram": {str(value): count for value, count in report.histogram.items()},
+            "mean": report.mean,
+        }
+    trial_runs = {}
+    for n, d in _GOLDEN_TRIAL_SHAPES:
+        rng = _generator(3, 0)
+        values = [first_match_trial(PackSpec(n, d), rng) for _ in range(20)]
+        trial_runs[f"{n},{d}"] = {"values": values, "state": rng.bit_generator.state}
+    return {"experiments": experiments, "trials": trial_runs}
 
 
 class TestWilsonInterval:
@@ -132,7 +171,46 @@ class TestPairMatchRate:
         assert report.seed == 2**64 - 1
 
 
+class StubGenerator:
+    """Stands in for a numpy Generator: endpoints that never repeat, and a log of sizes."""
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+        self._next = 0
+
+    def multinomial(self, n, pvals, size):
+        self.sizes.append(size)
+        rows = np.zeros((size, len(pvals)), dtype=np.int64)
+        counter = np.arange(self._next, self._next + size)
+        rows[:, 0], rows[:, 1] = counter % 256, counter // 256
+        self._next += size
+        return rows
+
+
 class TestFirstMatchTrial:
+    def test_seeded_output_matches_golden(self):
+        golden = json.loads((GOLDEN / "first_match_seeded.json").read_text("utf-8"))
+        assert list(golden["experiments"]) == [
+            f"{n},{d}x{trials}@{seed}" for n, d, trials, seed in _GOLDEN_EXPERIMENTS
+        ]
+        assert first_match_digits() == golden
+
+    def test_pigeonhole_guard(self):
+        spec = PackSpec(4, 5)  # 70 distinct endpoints -> a repeat by pack 71
+        cap = distinct_pack_count(spec) + 1
+        rng = StubGenerator()
+        with pytest.raises(AssertionError, match=f"no repeat within {cap} packs"):
+            first_match_trial(spec, rng)
+        assert rng.sizes == [16, 20, 25, 10]
+        assert sum(rng.sizes) == cap
+
+    def test_pigeonhole_guard_in_experiment(self, monkeypatch):
+        spec = PackSpec(4, 5)
+        cap = distinct_pack_count(spec) + 1
+        monkeypatch.setattr(montecarlo, "_generator", lambda seed, stream: StubGenerator())
+        with pytest.raises(AssertionError, match=f"no repeat within {cap} packs"):
+            first_match_experiment(spec, 3, 0)
+
     def test_support_one_item_two_colors(self):
         rng = _generator(3, 0)
         values = {first_match_trial(PackSpec(1, 2), rng) for _ in range(200)}
