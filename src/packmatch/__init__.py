@@ -9,6 +9,9 @@ probabilities under pack-size mixtures, and seeded Monte Carlo checks of all
 of the above.
 """
 
+import importlib.util
+import sys
+
 from .coincidence import (
     PackSpec,
     coincidence_probability,
@@ -22,24 +25,13 @@ from .coincidence import (
     two_color_probability,
 )
 from .exactmath import (
+    DEFAULT_PRECISION,
+    DEFAULT_TOLERANCE,
     binomial,
     decimal_string,
     factorial,
     multinomial,
     significant_string,
-)
-from .firstmatch import (
-    DEFAULT_PRECISION,
-    DEFAULT_TOLERANCE,
-    EndpointSpectrum,
-    FirstMatchLaw,
-    PackSizeDistribution,
-    SeriesExpectation,
-    endpoint_spectrum,
-    exact_pmf_and_expectation,
-    mixture_match_probability,
-    pairwise_expectation,
-    pairwise_pmf,
 )
 
 __version__ = "0.2.0"
@@ -81,23 +73,40 @@ __all__ = [
     "__version__",
 ]
 
-# Served on first access so that importing the package does not load numpy.
-_MONTECARLO_NAMES = frozenset(
-    {
-        "RNG_ALGORITHM",
-        "FirstMatchReport",
-        "TrialReport",
-        "endpoint_histogram",
-        "first_match_experiment",
-        "first_match_trial",
-        "pair_match_rate",
-    }
-)
+# The first-match module is the largest, and the counting commands never run
+# it. It is registered in sys.modules now, where tools that wrap its functions
+# look for it (bench/trace_job.py does, right after importing packmatch.cli),
+# and it runs on first attribute access: an import of it, or one of its names.
+_spec = importlib.util.find_spec(".firstmatch", __name__)
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+firstmatch = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = firstmatch
+_spec.loader.exec_module(firstmatch)
+
+# Served on first access, from the module named here, so that importing the
+# package runs neither module; montecarlo loads numpy.
+_LAZY_NAMES = {
+    "EndpointSpectrum": "firstmatch",
+    "FirstMatchLaw": "firstmatch",
+    "PackSizeDistribution": "firstmatch",
+    "SeriesExpectation": "firstmatch",
+    "endpoint_spectrum": "firstmatch",
+    "exact_pmf_and_expectation": "firstmatch",
+    "mixture_match_probability": "firstmatch",
+    "pairwise_expectation": "firstmatch",
+    "pairwise_pmf": "firstmatch",
+    "RNG_ALGORITHM": "montecarlo",
+    "FirstMatchReport": "montecarlo",
+    "TrialReport": "montecarlo",
+    "endpoint_histogram": "montecarlo",
+    "first_match_experiment": "montecarlo",
+    "first_match_trial": "montecarlo",
+    "pair_match_rate": "montecarlo",
+}
 
 
 def __getattr__(name: str) -> object:
-    if name in _MONTECARLO_NAMES:
-        from . import montecarlo
-
-        return getattr(montecarlo, name)
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success; 2 usage or validation error (bad arguments, malformed
 distribution file); 3 precision alarm from the decimal-mode oracle; 4
-internal invariant breach (for example the counting routes disagreeing).
+internal invariant breach (for example the counting routes disagreeing); 141
+stdout closed before the output was written (a reader such as ``head`` quit).
 
 Output formats: ``plain`` (human readable), ``csv``, and ``json``. JSON
 renders exact rationals as numerator/denominator digit strings so no
@@ -24,9 +25,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -41,21 +39,18 @@ from .coincidence import (
     distinct_pack_count,
     recursive_columns,
 )
-from .exactmath import decimal_string, significant_string
-from .firstmatch import (
+from .exactmath import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
-    PackSizeDistribution,
-    endpoint_spectrum,
-    exact_pmf_and_expectation,
-    mixture_match_probability,
-    pairwise_expectation,
+    decimal_string,
+    significant_string,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 DEFAULT_SEED = 0
 _REFERENCE_ENDPOINT_LIMIT = 10**6  # skip the oracle reference above this
@@ -236,6 +231,8 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    from .firstmatch import endpoint_spectrum, exact_pmf_and_expectation, pairwise_expectation
+
     spec = PackSpec(args.n, args.d)
     record: dict[str, Any] = {
         "command": "expect",
@@ -279,6 +276,8 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    from .firstmatch import PackSizeDistribution, mixture_match_probability
+
     distribution = PackSizeDistribution.from_file(args.file)
     probability = mixture_match_probability(distribution, args.d)
     record = {
@@ -302,6 +301,9 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     # never calls BLAS, so an idle OpenBLAS worker thread only costs CPU;
     # a value the user has set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if args.kind == "firstmatch":
+        # Before numpy: compiled after it, this module raises the peak RSS.
+        from .firstmatch import endpoint_spectrum, exact_pmf_and_expectation
     from . import montecarlo
 
     spec = PackSpec(args.n, args.d)
@@ -393,6 +395,9 @@ def _render_plain(record: dict[str, Any]) -> str:
 
 
 def _render_csv(record: dict[str, Any]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if record.get("command") == "table":
@@ -408,6 +413,8 @@ def _render_csv(record: dict[str, Any]) -> str:
 
 def _render(record: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(record, indent=2)
     if fmt == "csv":
         return _render_csv(record)
@@ -441,4 +448,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # Output that fit in the buffer meets the closed pipe here, not in print.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; devnull lets that succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -18,9 +18,8 @@ route calls another, so their agreement is a check.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactmath import binomial, multinomial
 
@@ -29,22 +28,23 @@ from .exactmath import binomial, multinomial
 ENDPOINT_CEILING = 10_000_000
 
 
-@dataclass(frozen=True)
-class PackSpec:
+class PackSpec(NamedTuple("PackSpec", [("n", int), ("d", int)])):
     """Pack shape: ``n`` items drawn uniformly over ``d`` colors.
+
+    A named tuple ``(n, d)``: immutable, compared and hashed by value.
 
     Raises:
         ValueError: if ``n`` is negative or ``d`` is not positive.
     """
 
-    n: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"pack size must be non-negative, got n={self.n}")
-        if self.d < 1:
-            raise ValueError(f"color count must be positive, got d={self.d}")
+    def __new__(cls, n: int, d: int) -> PackSpec:
+        if n < 0:
+            raise ValueError(f"pack size must be non-negative, got n={n}")
+        if d < 1:
+            raise ValueError(f"color count must be positive, got d={d}")
+        return super().__new__(cls, n, d)
 
 
 def compositions(spec: PackSpec) -> Iterator[tuple[int, ...]]:

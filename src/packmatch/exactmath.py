@@ -18,6 +18,12 @@ from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
+# Defaults of the first-match series: truncation tolerance and the exact
+# oracle's decimal-mode precision in significant digits. Defined here so the
+# command line reads them without loading the first-match module.
+DEFAULT_TOLERANCE = 1e-12
+DEFAULT_PRECISION = 128
+
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) as an exact integer.

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import decimal
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .coincidence import (
     ENDPOINT_CEILING,
@@ -49,12 +48,10 @@ from .coincidence import (
     distinct_pack_count,
     partition_classes,
 )
-from .exactmath import significant_string
+from .exactmath import DEFAULT_PRECISION, DEFAULT_TOLERANCE, significant_string
 
 Number = Union[Fraction, Decimal]
 
-DEFAULT_TOLERANCE = 1e-12
-DEFAULT_PRECISION = 128
 PAIRWISE_PRECISION = 40
 EXACT_ENDPOINT_LIMIT = 10_000
 
@@ -99,8 +96,7 @@ def pairwise_pmf(p: Fraction, length: int) -> Fraction:
     return (1 - p) ** exponent * (length - 1) * p
 
 
-@dataclass(frozen=True)
-class SeriesExpectation:
+class SeriesExpectation(NamedTuple):
     """A truncated positive series: its value, tail bound, and last index."""
 
     value: Decimal
@@ -587,8 +583,7 @@ def endpoint_spectrum(
     return EndpointSpectrum(spec, mode, precision)
 
 
-@dataclass(frozen=True)
-class FirstMatchLaw:
+class FirstMatchLaw(NamedTuple):
     """Truncated first-match distribution with its bookkeeping.
 
     ``pmf[l]`` is P[X = l] for l = 2..last_index; ``expectation`` is E[X]
@@ -671,24 +666,27 @@ def exact_pmf_and_expectation(
     )
 
 
-@dataclass(frozen=True)
-class PackSizeDistribution:
+Weights = tuple[tuple[int, Fraction], ...]
+
+
+class PackSizeDistribution(NamedTuple("PackSizeDistribution", [("weights", Weights)])):
     """Probability distribution over pack sizes, with exact rational weights.
 
     ``weights`` maps each pack size to a positive Fraction; the weights sum
     to exactly 1 (parsing renormalises near-1 decimal input before
     construction). Build through :meth:`from_pairs`, :meth:`from_text`, or
-    :meth:`from_file`.
+    :meth:`from_file`. A named tuple with the one field ``weights``:
+    immutable, compared and hashed by value.
     """
 
-    weights: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def __new__(cls, weights: Weights) -> PackSizeDistribution:
+        if not weights:
             raise ValueError("pack size distribution must have at least one entry")
         total = Fraction(0)
         seen: set[int] = set()
-        for size, weight in self.weights:
+        for size, weight in weights:
             if size < 0:
                 raise ValueError(f"pack size must be non-negative, got {size}")
             if size in seen:
@@ -699,6 +697,7 @@ class PackSizeDistribution:
             total += weight
         if total != 1:
             raise ValueError(f"weights must sum to exactly 1, got {total}")
+        return super().__new__(cls, weights)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, Fraction]]) -> "PackSizeDistribution":

@@ -349,7 +349,9 @@ class TestExpect:
             precision_alarm=True,
             survival_error=Decimal("0.25"),
         )
-        monkeypatch.setattr(cli, "exact_pmf_and_expectation", lambda spectrum, tol: fake)
+        monkeypatch.setattr(
+            "packmatch.firstmatch.exact_pmf_and_expectation", lambda spectrum, tol: fake
+        )
         code, out, err = run_cli("expect", "--n", "1", "--d", "2", "--model", "exact")
         assert code == 3
         assert "precision alarm" in err
@@ -473,7 +475,9 @@ class TestSimulate:
             precision_alarm=True,
             survival_error=Decimal("0.25"),
         )
-        monkeypatch.setattr(cli, "exact_pmf_and_expectation", lambda spectrum, tol: fake)
+        monkeypatch.setattr(
+            "packmatch.firstmatch.exact_pmf_and_expectation", lambda spectrum, tol: fake
+        )
         code, out, err = run_cli(
             "simulate", "firstmatch", "--n", "1", "--d", "2", "--trials", "10", "--seed", "1"
         )
@@ -510,6 +514,21 @@ class TestExitCodesAndPlumbing:
     def test_every_exported_name_resolves(self):
         for name in packmatch.__all__:
             assert getattr(packmatch, name) is not None, name
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # About 220 KB of output: more than a pipe holds, so the writer is
+        # still printing when the reader quits after one line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "packmatch", "table", "60", "30", "counts"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert proc.stdout.readline() == b"table of counts for n=1..60, d=1..30\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert stderr == b""
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -567,6 +586,55 @@ class TestSubprocessDeterminism:
             "import packmatch.montecarlo\n"
             "assert packmatch.first_match_experiment is "
             "packmatch.montecarlo.first_match_experiment\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=child_env(), timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        sizes = tmp_path / "sizes.txt"
+        sizes.write_text("2 1/2\n3 1/2\n", encoding="utf-8")
+        watched = ("numpy", "dataclasses", "inspect", "json", "packmatch.firstmatch")
+        # A module registered for lazy loading is not a plain module until it runs.
+        script = (
+            "import sys, types, packmatch, packmatch.cli\n"
+            "assert packmatch.cli.main(sys.argv[1:]) == 0\n"
+            f"print(*(name for name in {watched!r}\n"
+            "        if type(sys.modules.get(name)) is types.ModuleType), file=sys.stderr)\n"
+        )
+        table = [
+            # (argv, modules it must load, modules it must not load)
+            (["table", "5", "4", "counts", "--format", "plain"], set(), set(watched)),
+            (["prob", "--n", "4", "--d", "3", "--format", "csv"], set(), set(watched)),
+            (["expect", "--n", "5", "--d", "4"], {"packmatch.firstmatch"},
+             {"numpy", "dataclasses"}),
+            (["mixture", str(sizes), "--d", "3"], {"packmatch.firstmatch"},
+             {"numpy", "dataclasses"}),
+            (["simulate", "pair", "--n", "2", "--d", "2", "--trials", "10"], set(),
+             {"packmatch.firstmatch"}),
+        ]
+        for argv, present, absent in table:
+            result = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, env=child_env(), timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            loaded = set(result.stderr.decode().split())
+            assert present <= loaded and not absent & loaded, (argv, loaded)
+
+    def test_lazy_names_resolve_in_a_fresh_process(self):
+        # Registered but not run, so that code wrapping its functions in
+        # sys.modules (bench/trace_job.py) still finds it.
+        script = (
+            "import sys, types, packmatch, packmatch.cli\n"
+            "lazy = sys.modules['packmatch.firstmatch']\n"
+            "assert type(lazy) is not types.ModuleType\n"
+            "for name in packmatch.__all__:\n"
+            "    assert getattr(packmatch, name) is not None, name\n"
+            "assert type(lazy) is types.ModuleType\n"
+            "assert packmatch.EndpointSpectrum is packmatch.firstmatch.EndpointSpectrum\n"
+            "assert lazy.EndpointSpectrum is packmatch.EndpointSpectrum\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, env=child_env(), timeout=120

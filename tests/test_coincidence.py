@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -59,6 +60,25 @@ class TestPackSpec:
         assert {spec: 1}[PackSpec(2, 3)] == 1
         with pytest.raises(Exception):
             spec.n = 5  # type: ignore[misc]
+
+    def test_value_semantics(self):
+        # Expected strings and messages captured from the frozen-dataclass version.
+        spec = PackSpec(n=2, d=3)
+        assert repr(spec) == "PackSpec(n=2, d=3)"
+        assert f"{PackSpec(60, 5)}" == "PackSpec(n=60, d=5)"
+        assert spec == PackSpec(2, 3)
+        assert spec != PackSpec(3, 2)
+        assert hash(spec) == hash(PackSpec(2, 3))
+        assert len({spec, PackSpec(2, 3), PackSpec(3, 2)}) == 2
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        with pytest.raises(ValueError, match=r"^pack size must be non-negative, got n=-1$"):
+            PackSpec(n=-1, d=2)
+        with pytest.raises(ValueError, match=r"^color count must be positive, got d=0$"):
+            PackSpec(3, 0)
+        for attr in ("n", "d", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(spec, attr, 5)
+        assert (spec.n, spec.d) == (2, 3)
 
 
 class TestCompositions:

@@ -6,6 +6,7 @@ import decimal
 import itertools
 import json
 import math
+import pickle
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -27,7 +28,9 @@ from packmatch.firstmatch import (
     EXACT_ENDPOINT_LIMIT,
     PAIRWISE_PRECISION,
     _PAIRWISE_MAX_TERMS,
+    FirstMatchLaw,
     PackSizeDistribution,
+    SeriesExpectation,
     _geometric_tail,
     endpoint_spectrum,
     exact_pmf_and_expectation,
@@ -155,6 +158,20 @@ class TestPairwiseExpectation:
         assert abs(Fraction(series.value) - partial) < Fraction(1, 10**30)
         assert Decimal(0) <= series.tail_bound <= Decimal("1e-12")
         assert abs(float(series.value) - 3.979886532006703) < 1e-14
+
+    def test_series_value_semantics(self):
+        # Expected strings captured from the frozen-dataclass version.
+        series = SeriesExpectation(Decimal("2.5"), tail_bound=Decimal("1E-13"), last_index=7)
+        assert repr(series) == (
+            "SeriesExpectation(value=Decimal('2.5'), tail_bound=Decimal('1E-13'), last_index=7)"
+        )
+        same = SeriesExpectation(value=Decimal("2.5"), tail_bound=Decimal("1E-13"), last_index=7)
+        assert series == same
+        assert hash(series) == hash(same)
+        assert series != SeriesExpectation(Decimal("2.5"), Decimal("1E-13"), 8)
+        for attr in ("value", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(series, attr, Decimal(0))
 
     def test_tail_bound_dominates_truncated_mass(self):
         p = Fraction(1, 3)
@@ -565,6 +582,37 @@ class TestExactLaw:
             law = exact_pmf_and_expectation(endpoint_spectrum(spec, mode="decimal"))
         assert repr(law) == repr(reference)
 
+    def test_law_value_semantics(self):
+        # Expected strings captured from the frozen-dataclass version.
+        law = FirstMatchLaw(
+            model="exact-oracle",
+            mode="rational",
+            pmf={2: Fraction(1, 2), 3: Fraction(1, 2)},
+            expectation=Fraction(5, 2),
+            tail_bound=Fraction(0),
+            last_index=3,
+        )
+        assert repr(law) == (
+            "FirstMatchLaw(model='exact-oracle', mode='rational', "
+            "pmf={2: Fraction(1, 2), 3: Fraction(1, 2)}, expectation=Fraction(5, 2), "
+            "tail_bound=Fraction(0, 1), last_index=3, precision=None, "
+            "precision_alarm=False, survival_error=None)"
+        )
+        assert (law.precision, law.precision_alarm, law.survival_error) == (None, False, None)
+        assert law == exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 2)))
+        assert law == FirstMatchLaw(
+            "exact-oracle", "rational", dict(law.pmf), Fraction(5, 2), Fraction(0), 3,
+            None, False, None,
+        )
+        assert law != FirstMatchLaw(
+            "exact-oracle", "rational", law.pmf, Fraction(5, 2), Fraction(0), 3, precision=8
+        )
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(law)
+        for attr in ("expectation", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(law, attr, Fraction(3))
+
     def test_pairwise_model_approaches_oracle_when_collisions_are_rare(
         self, headline_probability, headline_law
     ):
@@ -602,6 +650,32 @@ class TestPackSizeDistribution:
             PackSizeDistribution.from_pairs([(1, Fraction(0)), (2, Fraction(1))])
         with pytest.raises(ValueError):
             PackSizeDistribution.from_pairs([(1, Fraction(1, 2)), (2, Fraction(1, 3))])
+
+    def test_value_semantics(self):
+        # Expected strings and messages captured from the frozen-dataclass version.
+        dist = PackSizeDistribution.from_pairs([(2, Fraction(1, 3)), (1, Fraction(2, 3))])
+        assert repr(dist) == (
+            "PackSizeDistribution(weights=((1, Fraction(2, 3)), (2, Fraction(1, 3))))"
+        )
+        same = PackSizeDistribution(weights=((1, Fraction(2, 3)), (2, Fraction(1, 3))))
+        assert dist == same
+        assert hash(dist) == hash(same) == hash(PackSizeDistribution.from_text("2 1/3\n1 2/3\n"))
+        assert dist != PackSizeDistribution.from_pairs([(1, Fraction(1))])
+        assert pickle.loads(pickle.dumps(dist)) == dist
+        for attr in ("weights", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(dist, attr, ())
+        half = Fraction(1, 2)
+        for weights, message in [
+            ((), "pack size distribution must have at least one entry"),
+            (((1, half), (1, half)), "duplicate pack size 1"),
+            (((-1, Fraction(1)),), "pack size must be non-negative, got -1"),
+            (((1, Fraction(0)), (2, Fraction(1))),
+             r"weight for size 1 must lie in \(0, 1\], got 0"),
+            (((1, half), (2, Fraction(1, 3))), "weights must sum to exactly 1, got 5/6"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PackSizeDistribution(weights)
 
     def test_from_text_rational(self):
         dist = PackSizeDistribution.from_text("# sizes\n\n1 1/2  # half\n2 1/2\n")
