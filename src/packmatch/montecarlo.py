@@ -3,9 +3,10 @@
 Sampling realises the ordered filling model: a pack is ``n`` independent
 uniform draws over ``d`` colors, and only the per-color counts (the walk
 endpoint) matter for pack identity. Per-draw color sequences are sampled where
-the sequence itself is under test (``endpoint_histogram``); otherwise endpoints
-come from the equivalent multinomial law, which is faster and exactly matches
-the endpoint law of the ordered model.
+the sequence itself is under test (``endpoint_histogram``) and where they are
+the cheaper way to a first-match endpoint; otherwise endpoints come from the
+equivalent multinomial law. Both give exactly the endpoint law of the ordered
+model, and one helper, ``_color_counts``, counts item colors in both places.
 
 The pair experiment never draws a whole endpoint it does not need. Like numpy's
 multinomial, it draws color ``c`` as ``Bin(r, 1/(d - c))`` of the ``r`` items
@@ -15,15 +16,22 @@ at the first color, whose draws share one binomial set-up.
 
 The first-match experiment runs a chunk's trials in one kernel,
 ``_first_match_times``. Each trial draws endpoints in growing blocks; the
-kernel draws rows for many trials in one multinomial call, which leaves the
-stream unchanged, and checks each block for a repeat with C-level set
-operations, scanning pack by pack only in the block that holds the repeat.
+kernel draws rows for many trials in one call, which leaves the stream
+unchanged, and checks each block for a repeat with C-level set operations,
+scanning pack by pack only in the block that holds the repeat. Its rows come
+from one of two sources, chosen by the shape alone: item colors (``n`` int64
+bounded integers per pack, counted by ``bincount``) where ``d >= 3`` and
+``n <= 30·(d - 2)``, and numpy's multinomial (``d - 1`` binomials per pack)
+elsewhere. A ``d = 2`` multinomial row is one binomial whose set-up numpy
+reuses, and once ``n/d`` is large the binomials cost little while item
+colors cost ``O(n)``.
 
 Determinism contract: trials are split into fixed-size chunks, and chunk ``i``
 draws from its own generator, keyed by numpy's ``SeedSequence`` on the
-experiment seed and stream index ``i``. Within a chunk, the first-match block
-schedule fixes which rows each trial uses. A report is therefore a pure
-function of (spec, trials, seed), for a given packmatch and numpy version.
+experiment seed and stream index ``i``. Within a chunk, the first-match row
+source and block schedule fix which rows each trial uses. A report is
+therefore a pure function of (spec, trials, seed), for a given packmatch and
+numpy version.
 """
 
 from __future__ import annotations
@@ -41,7 +49,16 @@ RNG_ALGORITHM = "PCG64"
 
 _CHUNK = 1 << 16  # trials per seed stream, in both experiments
 _HISTOGRAM_CHUNK = 1 << 14
-_DRAW_BUDGET = 1 << 12  # integers per first-match multinomial call (at least 16 rows)
+# Integers drawn or counted per first-match call: rows·max(n, d) for item
+# colors, rows·d for multinomial rows, never fewer than 16 rows. Neither
+# source's rows depend on how the draws are split into calls (item colors are
+# int64 draws; numpy's narrower bounded draws buffer bits within one call), so
+# the budget sets only speed and memory.
+_DRAW_BUDGET = 1 << 14
+_DRAW_ROWS = 1 << 10  # rows per first-match call at most: each row becomes a bytes key
+# Item colors while n <= 30·(d - 2): numpy's binomials cost O(1) once n/d
+# passes 30, and multinomial rows tie or win at (48, 3) and d = 2.
+_ITEM_COLOR_SLOPE = 30
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -154,17 +171,50 @@ def pair_match_rate(
     )
 
 
+def _uses_item_colors(spec: PackSpec) -> bool:
+    """Whether first-match rows come from item colors rather than multinomial rows."""
+    return spec.d >= 3 and spec.n <= _ITEM_COLOR_SLOPE * (spec.d - 2)
+
+
+def _color_counts(colors: np.ndarray, d: int) -> np.ndarray:
+    """Per-row counts of an int64 ``(rows, n)`` array of colors in ``[0, d)``.
+
+    Adds ``row·d`` to each row of ``colors`` in place and counts every row
+    with one ``bincount``; the result has shape ``(rows, d)``.
+    """
+    rows = colors.shape[0]
+    colors += np.arange(0, rows * d, d)[:, None]
+    return np.bincount(colors.ravel(), minlength=rows * d).reshape(rows, d)
+
+
+def _item_color_rows(spec: PackSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` endpoints, each the color counts of ``n`` uniform int64 item colors."""
+    return _color_counts(rng.integers(0, spec.d, size=(rows, spec.n)), spec.d)
+
+
+def _multinomial_rows(spec: PackSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` endpoints drawn by numpy's multinomial (``d - 1`` binomials each)."""
+    return rng.multinomial(spec.n, np.full(spec.d, 1.0 / spec.d), size=rows)
+
+
 def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) -> list[int]:
     """Sample ``trials`` first-match times in turn from one generator.
 
-    A trial draws multinomial endpoints in blocks: the first holds 16 packs,
-    each later one a quarter more, capped at ``cap - drawn``. The rest of the
-    block that holds the repeat is discarded, and the next trial starts after
-    that block. numpy's multinomial rows do not depend on how the calls are
-    split, so a call draws ``max(16, _DRAW_BUDGET // d)`` rows whatever the
-    block: a call for a short block draws ahead for later trials, and a long
-    block takes several calls. With one trial, calls stop at the end of the
-    trial's last block, so ``rng`` is left where the trial ends.
+    A trial draws endpoints in blocks: the first holds 16 packs, each later
+    one a quarter more, capped at ``cap - drawn``. The rest of the block that
+    holds the repeat is discarded, and the next trial starts after that
+    block.
+
+    Endpoints come from ``_item_color_rows`` where ``_uses_item_colors``
+    holds (``d >= 3`` and ``n <= 30·(d - 2)``) and from
+    ``_multinomial_rows`` elsewhere. Neither source's rows depend on how the
+    draws are split into calls (item colors are int64 draws; numpy's
+    ``uint8`` draws would buffer bits within one call), so a call draws
+    ``max(16, min(_DRAW_BUDGET // w, _DRAW_ROWS))`` rows whatever the block,
+    where ``w`` is the larger of the integers drawn and counted per row: a
+    call for a short block draws ahead for later trials, and a long block
+    takes several calls. With one trial, calls stop at the end of the trial's
+    last block, so ``rng`` is left where the trial ends.
 
     Each row is cast to the narrowest unsigned type that holds ``n`` and kept
     as one bytes key. A block is checked against the keys seen so far and
@@ -173,10 +223,13 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
     distinct_pack_count(spec) + 1 by pigeonhole, so the loop terminates.
     """
     cap = distinct_pack_count(spec) + 1
-    pvals = np.full(spec.d, 1.0 / spec.d)
+    if _uses_item_colors(spec):
+        draw, width = _item_color_rows, max(spec.n, spec.d)
+    else:
+        draw, width = _multinomial_rows, spec.d
     key_type = np.min_scalar_type(spec.n)
     row_type = np.dtype((np.void, spec.d * key_type.itemsize))
-    step = max(16, _DRAW_BUDGET // spec.d)  # rows per multinomial call
+    step = max(16, min(_DRAW_BUDGET // width, _DRAW_ROWS))  # rows per draw call
     keys: list[bytes] = []
     used = 0  # keys[:used] belong to blocks already taken
     times = []
@@ -193,7 +246,7 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
                     rows = step if trials > 1 else min(step, size - len(keys))
                     # One expression, so no count array outlives its cast.
                     keys += (
-                        rng.multinomial(spec.n, pvals, size=rows)
+                        draw(spec, rng, rows)
                         .astype(key_type).view(row_type).ravel().tolist()
                     )
             packs = keys[used : used + size]
@@ -298,10 +351,7 @@ def endpoint_histogram(
     """
     counts: dict[tuple[int, ...], int] = {}
     for rng, size in _streams(seed, samples, _HISTOGRAM_CHUNK):
-        steps = rng.integers(0, spec.d, size=(size, spec.n))
-        endpoints = np.zeros((size, spec.d), dtype=np.int64)
-        for color in range(spec.d):
-            endpoints[:, color] = (steps == color).sum(axis=1)
+        endpoints = _color_counts(rng.integers(0, spec.d, size=(size, spec.n)), spec.d)
         unique, freq = np.unique(endpoints, axis=0, return_counts=True)
         for row, f in zip(unique, freq):
             key = tuple(int(c) for c in row)

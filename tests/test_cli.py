@@ -463,6 +463,16 @@ class TestSimulate:
         assert sum(record["histogram"].values()) == 2000
         assert abs(record["mean"] - 2.5) < 5 * 0.5 / (2000**0.5)
 
+    def test_firstmatch_one_item_many_colors(self):
+        # n << d samples item colors, one integer per pack instead of d binomials.
+        record = run_json(
+            "simulate", "firstmatch", "--n", "1", "--d", "20000", "--trials", "20",
+            "--seed", "1",
+        )
+        assert record["analytic_reference"] is not None
+        assert sum(record["histogram"].values()) == 20
+        assert abs(record["mean"] - record["analytic_reference"]) < 5 * record["std_error"]
+
     def test_firstmatch_precision_alarm_exit_code(self, monkeypatch):
         fake = FirstMatchLaw(
             model="exact-oracle",

@@ -44,7 +44,8 @@ from packmatch.montecarlo import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (n, d, trials, seed) of each pinned experiment; (2, 3) crosses a chunk.
+# (n, d, trials, seed) of each pinned experiment; (2, 3) crosses a chunk, and
+# (2, 2) and (200, 3) draw multinomial rows, the others item colors.
 _GOLDEN_EXPERIMENTS = [
     (12, 12, 300, 3),
     (60, 5, 500, 5),
@@ -52,6 +53,7 @@ _GOLDEN_EXPERIMENTS = [
     (1, 2000, 30, 2),
     (0, 4, 50, 7),
     (2, 2, 1000, 13),
+    (200, 3, 300, 11),
 ]
 _GOLDEN_TRIAL_SHAPES = [(12, 12), (2, 2)]
 
@@ -172,19 +174,27 @@ class TestPairMatchRate:
 
 
 class StubGenerator:
-    """Stands in for a numpy Generator: endpoints that never repeat, and a log of sizes."""
+    """Stands in for the generator behind a row source: rows that never repeat, and their sizes."""
 
     def __init__(self) -> None:
         self.sizes: list[int] = []
         self._next = 0
 
-    def multinomial(self, n, pvals, size):
+    def rows(self, spec, size):
         self.sizes.append(size)
-        rows = np.zeros((size, len(pvals)), dtype=np.int64)
+        rows = np.zeros((size, spec.d), dtype=np.int64)
         counter = np.arange(self._next, self._next + size)
         rows[:, 0], rows[:, 1] = counter % 256, counter // 256
         self._next += size
         return rows
+
+
+@pytest.fixture
+def stub_rows(monkeypatch):
+    """Route the item-color row source through ``StubGenerator.rows``."""
+    monkeypatch.setattr(
+        montecarlo, "_item_color_rows", lambda spec, rng, rows: rng.rows(spec, rows)
+    )
 
 
 class TestFirstMatchTrial:
@@ -195,8 +205,9 @@ class TestFirstMatchTrial:
         ]
         assert first_match_digits() == golden
 
-    def test_pigeonhole_guard(self):
+    def test_pigeonhole_guard(self, stub_rows):
         spec = PackSpec(4, 5)  # 70 distinct endpoints -> a repeat by pack 71
+        assert montecarlo._uses_item_colors(spec)
         cap = distinct_pack_count(spec) + 1
         rng = StubGenerator()
         with pytest.raises(AssertionError, match=f"no repeat within {cap} packs"):
@@ -204,12 +215,21 @@ class TestFirstMatchTrial:
         assert rng.sizes == [16, 20, 25, 10]
         assert sum(rng.sizes) == cap
 
-    def test_pigeonhole_guard_in_experiment(self, monkeypatch):
+    def test_pigeonhole_guard_in_experiment(self, monkeypatch, stub_rows):
         spec = PackSpec(4, 5)
         cap = distinct_pack_count(spec) + 1
         monkeypatch.setattr(montecarlo, "_generator", lambda seed, stream: StubGenerator())
         with pytest.raises(AssertionError, match=f"no repeat within {cap} packs"):
             first_match_experiment(spec, 3, 0)
+
+    @pytest.mark.parametrize("n, d", [(12, 12), (60, 5), (2, 3), (200, 3)])
+    def test_batched_kernel_equals_repeated_trials(self, n, d):
+        # Rows do not depend on how draws are split into calls, so the kernel's
+        # look-ahead calls give the same times as one call per block.
+        spec, trials = PackSpec(n, d), 300
+        rng = _generator(7, 0)
+        repeated = [first_match_trial(spec, rng) for _ in range(trials)]
+        assert montecarlo._first_match_times(spec, _generator(7, 0), trials) == repeated
 
     def test_support_one_item_two_colors(self):
         rng = _generator(3, 0)
@@ -274,16 +294,17 @@ class TestFirstMatchExperiment:
 
     def test_multi_chunk_histogram_matches_exact_law(self):
         # Chi-square goodness of fit at significance 0.001 over three seed
-        # streams, against the exact first-match law (support 2..7).
-        spec = PackSpec(2, 3)
+        # streams, against the exact first-match law (support 2..N+1); (2, 6)
+        # has fewer items than colors.
         trials = 2 * _CHUNK + 100
-        law = exact_pmf_and_expectation(endpoint_spectrum(spec))
-        assert law.mode == "rational" and law.tail_bound == 0
-        report = first_match_experiment(spec, trials, 29)
-        assert set(report.histogram) <= set(law.pmf)
-        observed = [report.histogram.get(m, 0) for m in law.pmf]
-        expected = [float(mass) * trials for mass in law.pmf.values()]
-        assert chisquare(observed, expected).pvalue > 0.001
+        for spec in [PackSpec(2, 3), PackSpec(2, 6)]:
+            law = exact_pmf_and_expectation(endpoint_spectrum(spec))
+            assert law.mode == "rational" and law.tail_bound == 0
+            report = first_match_experiment(spec, trials, 29)
+            assert set(report.histogram) <= set(law.pmf)
+            observed = [report.histogram.get(m, 0) for m in law.pmf]
+            expected = [float(mass) * trials for mass in law.pmf.values()]
+            assert chisquare(observed, expected).pvalue > 0.001
 
     def test_trivial_experiment(self):
         report = first_match_experiment(PackSpec(0, 1), 10, 9)
@@ -331,6 +352,14 @@ class TestEndpointHistogram:
             observed = [hist.get(c, 0) for c in comps]
             expected = [float(endpoint_probability(spec, c)) * samples for c in comps]
             assert chisquare(observed, expected).pvalue > 0.001
+
+    def test_color_counts_match_per_color_sums(self):
+        # The bincount helper against one comparison pass per color.
+        rng = np.random.default_rng(5)
+        for rows, n, d in [(50, 7, 3), (40, 2, 9), (30, 0, 4), (1, 60, 5), (20, 1, 2000)]:
+            colors = rng.integers(0, d, size=(rows, n))
+            expected = np.stack([(colors == c).sum(axis=1) for c in range(d)], axis=1)
+            assert np.array_equal(montecarlo._color_counts(colors.copy(), d), expected)
 
     def test_empty_pack_histogram(self):
         hist = endpoint_histogram(PackSpec(0, 3), 1000, 4)
