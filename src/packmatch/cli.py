@@ -42,6 +42,7 @@ from .coincidence import (
 from .exactmath import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
+    _check_digits,
     decimal_string,
     significant_string,
 )
@@ -181,6 +182,8 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             f"table bounds {args.max_n}x{args.max_d} exceed the resource guard "
             "(max_n <= 1000, max_d <= 100)"
         )
+    if args.which == "probabilities":
+        _check_digits(args.digits)
     columns = list(range(1, args.max_d + 1))
     grid = list(recursive_columns(args.max_n, args.max_d))  # grid[d - 1][n]
     rows = []
@@ -207,6 +210,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 def _cmd_prob(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     spec = PackSpec(args.n, args.d)
+    _check_digits(args.digits)
     names = list(_ROUTES) if args.route == "all" else [args.route]
     counts = {name: _ROUTES[name](spec) for name in names}
     distinct = set(counts.values())
@@ -231,9 +235,12 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    from .firstmatch import endpoint_spectrum, exact_pmf_and_expectation, pairwise_expectation
+    from .firstmatch import (
+        _check_tolerance, endpoint_spectrum, exact_pmf_and_expectation, pairwise_expectation
+    )
 
     spec = PackSpec(args.n, args.d)
+    _check_tolerance(args.tol)
     record: dict[str, Any] = {
         "command": "expect",
         "n": spec.n,
@@ -279,6 +286,7 @@ def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     from .firstmatch import PackSizeDistribution, mixture_match_probability
 
     distribution = PackSizeDistribution.from_file(args.file)
+    _check_digits(args.digits)
     probability = mixture_match_probability(distribution, args.d)
     record = {
         "command": "mixture",
@@ -307,6 +315,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     from . import montecarlo
 
     spec = PackSpec(args.n, args.d)
+    montecarlo._check_run(args.trials, args.seed)
     record: dict[str, Any] = {
         "command": "simulate",
         "kind": args.kind,

@@ -70,6 +70,12 @@ _EXACT_CONTEXT = decimal.Context(
 )
 
 
+def _check_digits(digits: int) -> None:
+    """Reject a negative decimal place count, the one ``decimal_string`` refuses."""
+    if digits < 0:
+        raise ValueError(f"digits must be non-negative, got {digits}")
+
+
 def decimal_string(value: Rational, digits: int = 4) -> str:
     """Render an exact rational with a fixed number of decimal places.
 
@@ -83,8 +89,7 @@ def decimal_string(value: Rational, digits: int = 4) -> str:
     Raises:
         ValueError: if ``digits`` is negative.
     """
-    if digits < 0:
-        raise ValueError(f"digits must be non-negative, got {digits}")
+    _check_digits(digits)
     value = Fraction(value)
     sign = "-" if value < 0 else ""
     with decimal.localcontext(_EXACT_CONTEXT):

@@ -44,9 +44,9 @@ from typing import NamedTuple, Sequence, Union
 from .coincidence import (
     ENDPOINT_CEILING,
     PackSpec,
-    coincidence_probability,
     distinct_pack_count,
     partition_classes,
+    recursive_columns,
 )
 from .exactmath import DEFAULT_PRECISION, DEFAULT_TOLERANCE, significant_string
 
@@ -131,7 +131,7 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
     the first l where the current term is at most ``tol``, the term ratio
     r = (l + 1) / (l - 1) * (1 - p)^(l - 1) is below 1, and the geometric
     tail bound term * r / (1 - r) is at most ``tol``. The sum runs at
-    ``PAIRWISE_PRECISION`` significant digits.
+    ``PAIRWISE_PRECISION`` digits and forms r only at terms within ``tol``.
 
     The ratio decreases in l, and once it is below 1 the term and the tail
     bound decrease too; so once the stopping rule holds it holds for every
@@ -183,10 +183,11 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
         while True:
             term = Decimal(index * (index - 1)) * pd * power
             total += term
-            ratio = Decimal(index + 1) / Decimal(index - 1) * step
-            tail = _geometric_tail(term, ratio, tolerance)
-            if tail is not None:
-                return SeriesExpectation(+total, +tail, index)
+            if term <= tolerance:  # the ratio's division only once it can stop
+                ratio = Decimal(index + 1) / Decimal(index - 1) * step
+                tail = _geometric_tail(term, ratio, tolerance)
+                if tail is not None:
+                    return SeriesExpectation(+total, +tail, index)
             power *= step
             step *= omp
             index += 1
@@ -797,14 +798,17 @@ def mixture_match_probability(distribution: PackSizeDistribution, d: int) -> Fra
 
     Both packs draw a size independently from the distribution, then fill
     with ``d`` colors; matching requires equal sizes and equal contents, so
-    the answer is sum over sizes of weight(n)^2 * match probability at n.
+    the answer is sum over sizes of weight(n)^2 * match probability at n,
+    every count read from one :func:`recursive_columns` pass to the largest.
 
     Raises:
         ValueError: if ``d`` is not positive.
     """
     if d < 1:
         raise ValueError(f"color count must be positive, got {d}")
+    for counts in recursive_columns(max(distribution.sizes()), d):
+        pass
     total = Fraction(0)
     for size, weight in distribution.weights:
-        total += weight * weight * coincidence_probability(PackSpec(size, d))
+        total += weight * weight * Fraction(counts[size], d ** (2 * size))
     return total

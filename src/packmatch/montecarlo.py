@@ -6,7 +6,7 @@ endpoint) matter for pack identity. Per-draw color sequences are sampled where
 the sequence itself is under test (``endpoint_histogram``) and where they are
 the cheaper way to a first-match endpoint; otherwise endpoints come from the
 equivalent multinomial law. Both give exactly the endpoint law of the ordered
-model, and one helper, ``_color_counts``, counts item colors in both places.
+model. Both places share ``_item_color_rows`` and ``_endpoint_keys``.
 
 The pair experiment never draws a whole endpoint it does not need. Like numpy's
 multinomial, it draws color ``c`` as ``Bin(r, 1/(d - c))`` of the ``r`` items
@@ -68,6 +68,14 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
+def _check_run(total: int, seed: int) -> None:
+    """Reject a trial count below 1 or a seed outside [0, 2**64)."""
+    if total < 1:
+        raise ValueError(f"trial count must be positive, got {total}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit non-negative value, got {seed}")
+
+
 def _streams(seed: int, total: int, chunk: int) -> Iterator[tuple[np.random.Generator, int]]:
     """Split ``total`` trials into chunks of at most ``chunk``, stream i for chunk i.
 
@@ -77,10 +85,7 @@ def _streams(seed: int, total: int, chunk: int) -> Iterator[tuple[np.random.Gene
         ValueError: on first iteration, if ``total`` is not positive or
             ``seed`` is not a 64-bit non-negative value.
     """
-    if total < 1:
-        raise ValueError(f"trial count must be positive, got {total}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit non-negative value, got {seed}")
+    _check_run(total, seed)
     for stream, start in enumerate(range(0, total, chunk)):
         yield _generator(seed, stream), min(chunk, total - start)
 
@@ -192,6 +197,13 @@ def _item_color_rows(spec: PackSpec, rng: np.random.Generator, rows: int) -> np.
     return _color_counts(rng.integers(0, spec.d, size=(rows, spec.n)), spec.d)
 
 
+def _endpoint_keys(counts: np.ndarray, n: int) -> list[bytes]:
+    """One bytes key per row of ``counts``, in the narrowest unsigned type holding ``n``."""
+    key_type = np.min_scalar_type(n)
+    row_type = np.dtype((np.void, counts.shape[1] * key_type.itemsize))
+    return counts.astype(key_type).view(row_type).ravel().tolist()
+
+
 def _multinomial_rows(spec: PackSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` endpoints drawn by numpy's multinomial (``d - 1`` binomials each)."""
     return rng.multinomial(spec.n, np.full(spec.d, 1.0 / spec.d), size=rows)
@@ -216,19 +228,17 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
     takes several calls. With one trial, calls stop at the end of the trial's
     last block, so ``rng`` is left where the trial ends.
 
-    Each row is cast to the narrowest unsigned type that holds ``n`` and kept
-    as one bytes key. A block is checked against the keys seen so far and
-    added to them by C-level set operations; only the block that holds the
-    repeat is scanned pack by pack. A trial ends by pack
-    distinct_pack_count(spec) + 1 by pigeonhole, so the loop terminates.
+    Each row is kept as its ``_endpoint_keys`` bytes key. A block is checked
+    against the keys seen so far and added to them by C-level set
+    operations; only the block that holds the repeat is scanned pack by
+    pack. A trial ends by pack distinct_pack_count(spec) + 1 by pigeonhole,
+    so the loop terminates.
     """
     cap = distinct_pack_count(spec) + 1
     if _uses_item_colors(spec):
         draw, width = _item_color_rows, max(spec.n, spec.d)
     else:
         draw, width = _multinomial_rows, spec.d
-    key_type = np.min_scalar_type(spec.n)
-    row_type = np.dtype((np.void, spec.d * key_type.itemsize))
     step = max(16, min(_DRAW_BUDGET // width, _DRAW_ROWS))  # rows per draw call
     keys: list[bytes] = []
     used = 0  # keys[:used] belong to blocks already taken
@@ -244,11 +254,7 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
                 used = 0
                 while len(keys) < size:
                     rows = step if trials > 1 else min(step, size - len(keys))
-                    # One expression, so no count array outlives its cast.
-                    keys += (
-                        draw(spec, rng, rows)
-                        .astype(key_type).view(row_type).ravel().tolist()
-                    )
+                    keys += _endpoint_keys(draw(spec, rng, rows), spec.n)
             packs = keys[used : used + size]
             used += size
             if not seen.isdisjoint(packs):
@@ -345,15 +351,14 @@ def endpoint_histogram(
     This one samples the per-draw color sequences themselves (not the
     multinomial shortcut), so it exercises the ordered model end to end; the
     test suite compares the result against the exact endpoint probabilities.
+    Samples are tallied by ``_endpoint_keys`` key; each key is decoded once.
 
     Raises:
         ValueError: if ``samples`` is not positive or ``seed`` is negative.
     """
-    counts: dict[tuple[int, ...], int] = {}
+    keys: Counter[bytes] = Counter()
     for rng, size in _streams(seed, samples, _HISTOGRAM_CHUNK):
-        endpoints = _color_counts(rng.integers(0, spec.d, size=(size, spec.n)), spec.d)
-        unique, freq = np.unique(endpoints, axis=0, return_counts=True)
-        for row, f in zip(unique, freq):
-            key = tuple(int(c) for c in row)
-            counts[key] = counts.get(key, 0) + int(f)
-    return dict(sorted(counts.items()))
+        keys.update(_endpoint_keys(_item_color_rows(spec, rng, size), spec.n))
+    key_type = np.min_scalar_type(spec.n)
+    decoded = ((tuple(np.frombuffer(key, key_type).tolist()), count) for key, count in keys.items())
+    return dict(sorted(decoded))

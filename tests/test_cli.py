@@ -514,7 +514,67 @@ class TestSimulate:
         )
 
 
+def _work_ran(*args, **kwargs):
+    raise AssertionError("the command's work ran before its usage check")
+
+
+# A usage error in each command's options, the work that must not run before
+# it is reported, and the message it is reported with.
+_USAGE_BEFORE_WORK = [
+    pytest.param(
+        ["prob", "--n", "700", "--d", "2", "--digits", "-1"],
+        ["packmatch.cli.coincidence_probability"],
+        "digits must be non-negative, got -1",
+        id="prob-digits",
+    ),
+    pytest.param(
+        ["expect", "--n", "700", "--d", "2", "--tol", "0"],
+        ["packmatch.cli.coincidence_probability", "packmatch.firstmatch.endpoint_spectrum",
+         "packmatch.firstmatch.pairwise_expectation"],
+        "tol must lie strictly between 0 and 1, got 0.0",
+        id="expect-tol",
+    ),
+    pytest.param(
+        ["simulate", "pair", "--n", "700", "--d", "2", "--trials", "10", "--seed", "-1"],
+        ["packmatch.cli.coincidence_probability", "packmatch.montecarlo.pair_match_rate"],
+        "seed must be a 64-bit non-negative value, got -1",
+        id="simulate-pair-seed",
+    ),
+    pytest.param(
+        ["simulate", "firstmatch", "--n", "60", "--d", "5", "--trials", "0"],
+        ["packmatch.firstmatch.endpoint_spectrum", "packmatch.montecarlo.first_match_experiment"],
+        "trial count must be positive, got 0",
+        id="simulate-firstmatch-trials",
+    ),
+    pytest.param(
+        ["table", "300", "50", "probabilities", "--digits", "-2"],
+        ["packmatch.cli.recursive_columns"],
+        "digits must be non-negative, got -2",
+        id="table-digits",
+    ),
+    pytest.param(
+        ["mixture", "sizes.txt", "--d", "2", "--digits", "-1"],
+        ["packmatch.firstmatch.mixture_match_probability"],
+        "digits must be non-negative, got -1",
+        id="mixture-digits",
+    ),
+]
+
+
 class TestExitCodesAndPlumbing:
+    @pytest.mark.parametrize("argv, work, message", _USAGE_BEFORE_WORK)
+    def test_usage_error_reported_before_any_work(
+        self, argv, work, message, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sizes.txt").write_text("1 1/2\n700 1/2\n")
+        for name in cli._ROUTES:
+            monkeypatch.setitem(cli._ROUTES, name, _work_ran)
+        for target in work:
+            monkeypatch.setattr(target, _work_ran)
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_route_disagreement_is_internal_error(self, monkeypatch):
         monkeypatch.setitem(cli._ROUTES, "gf", lambda spec: 0)
         code, _, err = run_cli("prob", "--n", "2", "--d", "2")

@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from packmatch import coincidence, firstmatch
 from packmatch.coincidence import (
     PackSpec,
     coincidence_probability,
     compositions,
     distinct_pack_count,
     endpoint_probability,
+    two_color_probability,
 )
 from packmatch.exactmath import factorial
 from packmatch.firstmatch import (
@@ -757,6 +759,26 @@ class TestMixtureMatchProbability:
         dist = PackSizeDistribution.from_pairs([(1, Fraction(1))])
         with pytest.raises(ValueError):
             mixture_match_probability(dist, 0)
+
+    def test_builds_one_grid_for_all_sizes(self, monkeypatch):
+        # Sizes 1..300 at d = 2 read their counts from one recursive_columns
+        # pass; no size is counted on its own.
+        def refuse(*args):
+            raise AssertionError("a size was counted on its own")
+
+        calls = []
+
+        def counted(max_n, max_d):
+            calls.append((max_n, max_d))
+            return coincidence.recursive_columns(max_n, max_d)
+
+        monkeypatch.setattr(firstmatch, "recursive_columns", counted)
+        monkeypatch.setattr(coincidence, "coincidence_probability", refuse)
+        monkeypatch.setattr(coincidence, "count_recursive", refuse)
+        dist = PackSizeDistribution.from_pairs([(n, Fraction(1, 300)) for n in range(1, 301)])
+        value = mixture_match_probability(dist, 2)
+        assert calls == [(300, 2)]
+        assert value == sum(two_color_probability(n) for n in range(1, 301)) / 300**2
 
     def test_mixture_never_exceeds_max_component(self):
         dist = PackSizeDistribution.from_pairs(

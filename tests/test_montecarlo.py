@@ -361,6 +361,17 @@ class TestEndpointHistogram:
             expected = np.stack([(colors == c).sum(axis=1) for c in range(d)], axis=1)
             assert np.array_equal(montecarlo._color_counts(colors.copy(), d), expected)
 
+    @pytest.mark.parametrize("n, d", [(300, 2), (256, 3)])
+    def test_two_byte_keys_match_a_per_row_tally(self, n, d):
+        # n >= 256 keys endpoints as uint16, so each decoded count spans two
+        # bytes. Fewer samples than one stream holds, so the histogram draws
+        # exactly the rows below.
+        samples, seed = 4000, 23
+        colors = _generator(seed, 0).integers(0, d, size=(samples, n))
+        tally = Counter(tuple(np.bincount(row, minlength=d).tolist()) for row in colors)
+        hist = endpoint_histogram(PackSpec(n, d), samples, seed)
+        assert list(hist.items()) == sorted(tally.items())
+
     def test_empty_pack_histogram(self):
         hist = endpoint_histogram(PackSpec(0, 3), 1000, 4)
         assert hist == {(0, 0, 0): 1000}
