@@ -55,6 +55,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer kille
 
 DEFAULT_SEED = 0
 _REFERENCE_ENDPOINT_LIMIT = 10**6  # skip the oracle reference above this
+# Decimal digits of the simulate firstmatch reference where the oracle runs in
+# decimal mode: a double holds 17. At 48 the error bound stays far below the
+# alarm threshold 10**-24: 6.3e-29 at (1, 10**6), whose uniform law over the
+# most endpoints the reference runs at has the longest survival walk.
+_REFERENCE_PRECISION = 48
 
 _ROUTES: dict[str, Callable[[PackSpec], int]] = {
     "closed": count_closed,
@@ -182,8 +187,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             f"table bounds {args.max_n}x{args.max_d} exceed the resource guard "
             "(max_n <= 1000, max_d <= 100)"
         )
-    if args.which == "probabilities":
-        _check_digits(args.digits)
+    _check_digits(args.digits)
     columns = list(range(1, args.max_d + 1))
     grid = list(recursive_columns(args.max_n, args.max_d))  # grid[d - 1][n]
     rows = []
@@ -343,7 +347,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     else:
         reference = None
         if distinct_pack_count(spec) <= _REFERENCE_ENDPOINT_LIMIT:
-            law = exact_pmf_and_expectation(endpoint_spectrum(spec), tol=1e-9)
+            spectrum = endpoint_spectrum(spec, precision=_REFERENCE_PRECISION)
+            law = exact_pmf_and_expectation(spectrum, tol=1e-9)
             reference = float(law.expectation)
             alarm = law.precision_alarm
         report = montecarlo.first_match_experiment(
@@ -448,8 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     if alarm:
         print(
             "precision alarm: decimal-mode error bounds exceeded the threshold, so the "
-            f"exact oracle's digits are suspect; the CLI runs it at {DEFAULT_PRECISION} digits, "
-            "and the library call packmatch.endpoint_spectrum(spec, precision=P) runs it at more",
+            f"exact oracle's digits are suspect; the CLI runs it at {DEFAULT_PRECISION} digits "
+            f"({_REFERENCE_PRECISION} for the simulate firstmatch reference), and the library "
+            "call packmatch.endpoint_spectrum(spec, precision=P) runs it at more",
             file=sys.stderr,
         )
         return EXIT_PRECISION

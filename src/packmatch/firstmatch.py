@@ -566,7 +566,8 @@ def endpoint_spectrum(
         mode: force ``"rational"`` or ``"decimal"``; by default rational is
             chosen when the endpoint count is at most ``EXACT_ENDPOINT_LIMIT``
             (10**4), decimal otherwise.
-        precision: significant digits for decimal mode (default 128).
+        precision: significant digits for decimal mode (default 128);
+            ignored where the default mode picks rational.
 
     Raises:
         ValueError: on invalid arguments, or when the endpoint count exceeds
@@ -578,8 +579,11 @@ def endpoint_spectrum(
             f"{spec} has {count} distinct endpoints, above the ceiling {ENDPOINT_CEILING}"
         )
     if mode is None:
-        mode = "rational" if count <= EXACT_ENDPOINT_LIMIT else "decimal"
-    if mode == "rational" and precision is not None:
+        if count <= EXACT_ENDPOINT_LIMIT:
+            mode, precision = "rational", None
+        else:
+            mode = "decimal"
+    elif mode == "rational" and precision is not None:
         raise ValueError("precision applies to decimal mode only")
     return EndpointSpectrum(spec, mode, precision)
 

@@ -6,25 +6,28 @@ endpoint) matter for pack identity. Per-draw color sequences are sampled where
 the sequence itself is under test (``endpoint_histogram``) and where they are
 the cheaper way to a first-match endpoint; otherwise endpoints come from the
 equivalent multinomial law. Both give exactly the endpoint law of the ordered
-model. Both places share ``_item_color_rows`` and ``_endpoint_keys``.
+model.
 
 The pair experiment never draws a whole endpoint it does not need. Like numpy's
 multinomial, it draws color ``c`` as ``Bin(r, 1/(d - c))`` of the ``r`` items
 not yet placed, but it draws both packs of every pair one color at a time and
 drops a pair at the first color where the two counts differ. Most pairs differ
-at the first color, whose draws share one binomial set-up.
+at the first color. Where numpy would draw that color by inversion
+(``n <= 30·d``), it is one uniform per pack looked up in a table of the
+``Bin(n, 1/d)`` CDF; elsewhere its draws share one binomial set-up.
 
 The first-match experiment runs a chunk's trials in one kernel,
 ``_first_match_times``. Each trial draws endpoints in growing blocks; the
 kernel draws rows for many trials in one call, which leaves the stream
 unchanged, and checks each block for a repeat with C-level set operations,
-scanning pack by pack only in the block that holds the repeat. Its rows come
-from one of two sources, chosen by the shape alone: item colors (``n`` int64
-bounded integers per pack, counted by ``bincount``) where ``d >= 3`` and
-``n <= 30·(d - 2)``, and numpy's multinomial (``d - 1`` binomials per pack)
-elsewhere. A ``d = 2`` multinomial row is one binomial whose set-up numpy
-reuses, and once ``n/d`` is large the binomials cost little while item
-colors cost ``O(n)``.
+scanning pack by pack only in the block that holds the repeat. The shape
+alone picks its key source (``_key_source``). Where ``d >= 3`` and
+``n <= 30·(d - 2)`` a pack is item colors: one int64 draw in ``[0, d**k)``
+per run of ``k`` colors, looked up as an int64 endpoint code, where the code
+``sum(count_c·(n + 1)**c)`` fits (``(n + 1)**d < 2**63``); ``n`` int64 draws
+elsewhere, keyed by their sorted colors. Every other shape draws numpy's multinomial (``d - 1`` binomials
+per pack): a ``d = 2`` row is one binomial whose set-up numpy reuses, and once
+``n/d`` is large the binomials cost little while item colors cost ``O(n)``.
 
 Determinism contract: trials are split into fixed-size chunks, and chunk ``i``
 draws from its own generator, keyed by numpy's ``SeedSequence`` on the
@@ -36,10 +39,12 @@ numpy version.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,16 +54,22 @@ RNG_ALGORITHM = "PCG64"
 
 _CHUNK = 1 << 16  # trials per seed stream, in both experiments
 _HISTOGRAM_CHUNK = 1 << 14
-# Integers drawn or counted per first-match call: rows·max(n, d) for item
-# colors, rows·d for multinomial rows, never fewer than 16 rows. Neither
-# source's rows depend on how the draws are split into calls (item colors are
-# int64 draws; numpy's narrower bounded draws buffer bits within one call), so
-# the budget sets only speed and memory.
+# Integers drawn or counted per first-match call (the width ``_key_source``
+# gives, times the rows), never fewer than 16 rows. No source's rows depend on
+# how the draws are split into calls (item colors are int64 draws; numpy's
+# narrower bounded draws buffer bits within one call), so the budget sets
+# only speed and memory.
 _DRAW_BUDGET = 1 << 14
-_DRAW_ROWS = 1 << 10  # rows per first-match call at most: each row becomes a bytes key
+_DRAW_ROWS = 1 << 10  # rows per first-match call at most: each row becomes a key
 # Item colors while n <= 30·(d - 2): numpy's binomials cost O(1) once n/d
 # passes 30, and multinomial rows tie or win at (48, 3) and d = 2.
 _ITEM_COLOR_SLOPE = 30
+_CODE_TABLE_SIZE = 1 << 12  # entries of a coded first-match lookup table at most
+# numpy draws Bin(n, p), p <= 1/2, by inversion while n·p <= 30, where a
+# table of the first color's CDF is cheaper and reads the same one uniform.
+# Past it numpy's binomial costs O(1) a draw, while the table grows with n.
+_INVERSION_SLOPE = 30
+_CDF_DIGITS = 40  # significant digits of the first-color CDF before it is rounded
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -124,7 +135,36 @@ class TrialReport:
     analytic_reference: float | None = None
 
 
-def _matching_pairs(spec: PackSpec, rng: np.random.Generator, size: int) -> int:
+def _first_color_cdf(spec: PackSpec) -> np.ndarray | None:
+    """CDF of the first color's count, ``Bin(n, 1/d)``, where numpy would invert it.
+
+    Each entry is summed to ``_CDF_DIGITS`` digits by the pmf ratio
+    recurrence and rounded once to double; entries that round to 1.0 are
+    dropped, so ``searchsorted(cdf, u, "right")`` of a uniform ``u`` in
+    ``[0, 1)`` is a count. None where ``d < 2`` or ``n > 30·d``, where numpy's
+    binomial is not an inversion.
+    """
+    n, d = spec
+    if d < 2 or n > _INVERSION_SLOPE * d:
+        return None
+    cdf = []
+    # Rounding (d - 1)/d before its n-th power multiplies the relative error
+    # by n; as many more digits as n has make up for it.
+    with decimal.localcontext(decimal.Context(prec=_CDF_DIGITS + len(str(n)))):
+        term = (decimal.Decimal(d - 1) / d) ** n
+        total = term
+        for count in range(n + 1):
+            if float(total) == 1.0:
+                break
+            cdf.append(float(total))
+            term = term * (n - count) / ((count + 1) * (d - 1))
+            total += term
+    return np.array(cdf)
+
+
+def _matching_pairs(
+    spec: PackSpec, rng: np.random.Generator, size: int, cdf: np.ndarray | None
+) -> int:
     """Count the matches among ``size`` pack pairs, deciding them color by color.
 
     Color ``c`` of each pack is ``Bin(r, 1/(d - c))``, where ``r`` items are
@@ -132,13 +172,17 @@ def _matching_pairs(spec: PackSpec, rng: np.random.Generator, size: int) -> int:
     A pair is dropped when its two draws differ and is a match when they
     agree and place every item (each later color is 0 in both packs); the
     rest go on, and those left after color ``d - 2`` match (the last color
-    holds the rest). The first color draws with scalar parameters, so numpy
-    sets its binomial up once.
+    holds the rest). The first color inverts one uniform per pack on ``cdf``,
+    the table of ``_first_color_cdf``, where it is given; otherwise it draws
+    binomials with scalar parameters, so numpy sets them up once.
     """
     matches = 0
     remaining = spec.n
     for color in range(spec.d - 1):
-        first, second = rng.binomial(remaining, 1.0 / (spec.d - color), size=(2, size))
+        if color == 0 and cdf is not None:
+            first, second = np.searchsorted(cdf, rng.random((2, size)), side="right")
+        else:
+            first, second = rng.binomial(remaining, 1.0 / (spec.d - color), size=(2, size))
         same = first == second
         matches += int(np.count_nonzero(same & (first == remaining)))
         remaining = (remaining - first)[same & (first < remaining)]
@@ -161,8 +205,9 @@ def pair_match_rate(
         ValueError: if ``trials`` is not positive or ``seed`` is negative.
     """
     matches = 0
+    cdf = _first_color_cdf(spec)
     for rng, size in _streams(seed, trials, _CHUNK):
-        matches += _matching_pairs(spec, rng, size)
+        matches += _matching_pairs(spec, rng, size, cdf)
     ci_low, ci_high = _wilson_interval(matches, trials)
     return TrialReport(
         seed=seed,
@@ -176,11 +221,6 @@ def pair_match_rate(
     )
 
 
-def _uses_item_colors(spec: PackSpec) -> bool:
-    """Whether first-match rows come from item colors rather than multinomial rows."""
-    return spec.d >= 3 and spec.n <= _ITEM_COLOR_SLOPE * (spec.d - 2)
-
-
 def _color_counts(colors: np.ndarray, d: int) -> np.ndarray:
     """Per-row counts of an int64 ``(rows, n)`` array of colors in ``[0, d)``.
 
@@ -192,21 +232,91 @@ def _color_counts(colors: np.ndarray, d: int) -> np.ndarray:
     return np.bincount(colors.ravel(), minlength=rows * d).reshape(rows, d)
 
 
-def _item_color_rows(spec: PackSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` endpoints, each the color counts of ``n`` uniform int64 item colors."""
-    return _color_counts(rng.integers(0, spec.d, size=(rows, spec.n)), spec.d)
-
-
 def _endpoint_keys(counts: np.ndarray, n: int) -> list[bytes]:
     """One bytes key per row of ``counts``, in the narrowest unsigned type holding ``n``."""
-    key_type = np.min_scalar_type(n)
-    row_type = np.dtype((np.void, counts.shape[1] * key_type.itemsize))
-    return counts.astype(key_type).view(row_type).ravel().tolist()
+    return _row_keys(counts.astype(np.min_scalar_type(n)))
 
 
-def _multinomial_rows(spec: PackSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` endpoints drawn by numpy's multinomial (``d - 1`` binomials each)."""
-    return rng.multinomial(spec.n, np.full(spec.d, 1.0 / spec.d), size=rows)
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous 2-D array, one key per row."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+@functools.lru_cache(maxsize=4)
+def _code_table(n: int, d: int) -> tuple[np.ndarray, int, int]:
+    """The code of every run of ``k`` item colors, runs per pack, colors the last one lacks.
+
+    ``k`` is the largest count with ``d**k <= _CODE_TABLE_SIZE``, at most
+    ``n``. Entry ``u`` is the sum of ``(n + 1)**c`` over the ``k`` base-``d``
+    digits ``c`` of ``u``, so the runs of a pack sum to its endpoint code
+    ``sum(count_c·(n + 1)**c)``.
+    """
+    k = 0
+    while k < n and d ** (k + 1) <= _CODE_TABLE_SIZE:
+        k += 1
+    powers = np.array([(n + 1) ** c for c in range(d)], dtype=np.int64)
+    digits = np.arange(d**k)
+    table = np.zeros(d**k, dtype=np.int64)
+    for _ in range(k):
+        digits, color = np.divmod(digits, d)
+        table += powers[color]
+    runs = -(-n // k) if k else 0
+    return table, runs, runs * k - n
+
+
+def _coded_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[int]:
+    """``rows`` endpoint codes, each the sum of one ``_code_table`` entry per run.
+
+    A pack draws one int64 integer in ``[0, d**k)`` per run of ``k`` item
+    colors, all its runs in one call. Its last run, ``extra`` colors short,
+    reads ``u mod d**(k - extra)``, its low digits; the ``extra`` high zero
+    digits that its entry then counts are taken back off the sum.
+    """
+    table, runs, extra = _code_table(spec.n, spec.d)
+    draws = rng.integers(0, table.size, size=(rows, runs))
+    if extra:
+        draws[:, -1] %= table.size // spec.d**extra
+    codes = table[draws].sum(axis=1)
+    if extra:
+        codes -= extra
+    return codes.tolist()
+
+
+def _sorted_color_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
+    """``rows`` keys, each the bytes of ``n`` sorted int64 item colors, narrowed."""
+    colors = rng.integers(0, spec.d, size=(rows, spec.n)).astype(np.min_scalar_type(spec.d - 1))
+    colors.sort(axis=1)
+    return _row_keys(colors)
+
+
+def _color_count_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
+    """``rows`` keys, each the counts of ``n`` uniform int64 item colors (``endpoint_histogram``)."""
+    colors = rng.integers(0, spec.d, size=(rows, spec.n))
+    return _endpoint_keys(_color_counts(colors, spec.d), spec.n)
+
+
+def _multinomial_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
+    """``rows`` keys, each an endpoint drawn by numpy's multinomial (``d - 1`` binomials)."""
+    counts = rng.multinomial(spec.n, np.full(spec.d, 1.0 / spec.d), size=rows)
+    return _endpoint_keys(counts, spec.n)
+
+
+def _key_source(
+    spec: PackSpec,
+) -> tuple[Callable[[PackSpec, np.random.Generator, int], list], int]:
+    """The first-match key source of ``spec``, and the integers it draws or counts per row.
+
+    Item colors where ``d >= 3`` and ``n <= 30·(d - 2)``: coded where the
+    code fits an int64 (``(n + 1)**d < 2**63``), else sorted colors.
+    Multinomial rows elsewhere.
+    """
+    n, d = spec
+    if d < 3 or n > _ITEM_COLOR_SLOPE * (d - 2):
+        return _multinomial_keys, d
+    # (n + 1)**63 >= 2**63 for n >= 1, so d is capped before the power grows.
+    if (n + 1) ** min(d, 63) < 2**63:
+        return _coded_keys, max(1, _code_table(n, d)[1])
+    return _sorted_color_keys, n
 
 
 def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) -> list[int]:
@@ -217,34 +327,31 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
     holds the repeat is discarded, and the next trial starts after that
     block.
 
-    Endpoints come from ``_item_color_rows`` where ``_uses_item_colors``
-    holds (``d >= 3`` and ``n <= 30·(d - 2)``) and from
-    ``_multinomial_rows`` elsewhere. Neither source's rows depend on how the
-    draws are split into calls (item colors are int64 draws; numpy's
-    ``uint8`` draws would buffer bits within one call), so a call draws
+    Each row is kept as a key from ``_key_source(spec)``: an int64 endpoint
+    code, the bytes of its sorted item colors or those of its multinomial
+    counts. No
+    source's rows depend on how the draws are split into calls (its bounded
+    draws are int64, one call per batch of rows; numpy's narrower ones
+    would buffer bits within one call), so a call draws
     ``max(16, min(_DRAW_BUDGET // w, _DRAW_ROWS))`` rows whatever the block,
     where ``w`` is the larger of the integers drawn and counted per row: a
     call for a short block draws ahead for later trials, and a long block
     takes several calls. With one trial, calls stop at the end of the trial's
     last block, so ``rng`` is left where the trial ends.
 
-    Each row is kept as its ``_endpoint_keys`` bytes key. A block is checked
-    against the keys seen so far and added to them by C-level set
-    operations; only the block that holds the repeat is scanned pack by
-    pack. A trial ends by pack distinct_pack_count(spec) + 1 by pigeonhole,
-    so the loop terminates.
+    A block is checked against the keys seen so far and added to them by
+    C-level set operations; only the block that holds the repeat is scanned
+    pack by pack. A trial ends by pack distinct_pack_count(spec) + 1 by
+    pigeonhole, so the loop terminates.
     """
     cap = distinct_pack_count(spec) + 1
-    if _uses_item_colors(spec):
-        draw, width = _item_color_rows, max(spec.n, spec.d)
-    else:
-        draw, width = _multinomial_rows, spec.d
+    draw, width = _key_source(spec)
     step = max(16, min(_DRAW_BUDGET // width, _DRAW_ROWS))  # rows per draw call
-    keys: list[bytes] = []
+    keys: list = []
     used = 0  # keys[:used] belong to blocks already taken
     times = []
     for _ in range(trials):
-        seen: set[bytes] = set()
+        seen: set = set()
         drawn = 0
         block = 16
         while True:
@@ -254,7 +361,7 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
                 used = 0
                 while len(keys) < size:
                     rows = step if trials > 1 else min(step, size - len(keys))
-                    keys += _endpoint_keys(draw(spec, rng, rows), spec.n)
+                    keys += draw(spec, rng, rows)
             packs = keys[used : used + size]
             used += size
             if not seen.isdisjoint(packs):
@@ -351,14 +458,14 @@ def endpoint_histogram(
     This one samples the per-draw color sequences themselves (not the
     multinomial shortcut), so it exercises the ordered model end to end; the
     test suite compares the result against the exact endpoint probabilities.
-    Samples are tallied by ``_endpoint_keys`` key; each key is decoded once.
+    Samples are tallied by their ``_color_count_keys`` key; each key is decoded once.
 
     Raises:
         ValueError: if ``samples`` is not positive or ``seed`` is negative.
     """
     keys: Counter[bytes] = Counter()
     for rng, size in _streams(seed, samples, _HISTOGRAM_CHUNK):
-        keys.update(_endpoint_keys(_item_color_rows(spec, rng, size), spec.n))
+        keys.update(_color_count_keys(spec, rng, size))
     key_type = np.min_scalar_type(spec.n)
     decoded = ((tuple(np.frombuffer(key, key_type).tolist()), count) for key, count in keys.items())
     return dict(sorted(decoded))

@@ -18,9 +18,11 @@ import pytest
 
 import packmatch
 from packmatch import cli
-from packmatch.coincidence import PackSpec, coincidence_probability, count_recursive
+from packmatch.coincidence import (
+    PackSpec, coincidence_probability, count_recursive, distinct_pack_count
+)
 from packmatch.exactmath import decimal_string
-from packmatch.firstmatch import FirstMatchLaw
+from packmatch.firstmatch import FirstMatchLaw, endpoint_spectrum, exact_pmf_and_expectation
 
 COUNT_GRID = [
     ["1", "2", "3", "4", "5"],
@@ -473,6 +475,43 @@ class TestSimulate:
         assert sum(record["histogram"].values()) == 20
         assert abs(record["mean"] - record["analytic_reference"]) < 5 * record["std_error"]
 
+    def test_firstmatch_reference_runs_at_48_digits(self, monkeypatch):
+        # Decimal mode at 48 digits, rational mode as before; at (1, 20000)
+        # the reference equals the 128-digit oracle's double.
+        from packmatch import firstmatch
+
+        build = firstmatch.endpoint_spectrum
+        built = []
+
+        def recording(spec, *, precision=None):
+            spectrum = build(spec, precision=precision)
+            built.append((spectrum.mode, spectrum.precision))
+            return spectrum
+
+        monkeypatch.setattr("packmatch.firstmatch.endpoint_spectrum", recording)
+        for n, d in [(1, 20000), (1, 2)]:
+            spec = PackSpec(n, d)
+            record = run_json(
+                "simulate", "firstmatch", "--n", str(n), "--d", str(d), "--trials", "5"
+            )
+            law = firstmatch.exact_pmf_and_expectation(build(spec), tol=1e-9)
+            assert record["analytic_reference"] == float(law.expectation)
+        assert built == [("decimal", cli._REFERENCE_PRECISION), ("rational", None)]
+        assert cli._REFERENCE_PRECISION == 48
+
+    @pytest.mark.parametrize("n, d", [(1, 10**6), (2, 1413)])
+    def test_reference_precision_holds_at_the_longest_walks(self, n, d):
+        # (1, 10**6) is the uniform law over the most endpoints the reference
+        # runs at, so its survival walk is the longest; (2, 1413) is nearly as
+        # long. The bound stays far below the alarm threshold 10**-24.
+        spec = PackSpec(n, d)
+        assert distinct_pack_count(spec) <= cli._REFERENCE_ENDPOINT_LIMIT
+        spectrum = endpoint_spectrum(spec, precision=cli._REFERENCE_PRECISION)
+        law = exact_pmf_and_expectation(spectrum, tol=1e-9)
+        assert law.last_index > 7000
+        assert not law.precision_alarm
+        assert law.survival_error < Decimal("1e-27")
+
     def test_firstmatch_precision_alarm_exit_code(self, monkeypatch):
         fake = FirstMatchLaw(
             model="exact-oracle",
@@ -553,6 +592,12 @@ _USAGE_BEFORE_WORK = [
         id="table-digits",
     ),
     pytest.param(
+        ["table", "2", "2", "counts", "--digits", "-2"],
+        ["packmatch.cli.recursive_columns"],
+        "digits must be non-negative, got -2",
+        id="table-counts-digits",
+    ),
+    pytest.param(
         ["mixture", "sizes.txt", "--d", "2", "--digits", "-1"],
         ["packmatch.firstmatch.mixture_match_probability"],
         "digits must be non-negative, got -1",
@@ -604,6 +649,15 @@ class TestExitCodesAndPlumbing:
         with pytest.raises(SystemExit) as excinfo:
             run_cli()
         assert excinfo.value.code == 2
+
+    def test_version_matches_pyproject(self):
+        if sys.version_info >= (3, 11):
+            import tomllib
+        else:
+            tomllib = pytest.importorskip("tomli")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            assert packmatch.__version__ == tomllib.load(handle)["project"]["version"]
 
     def test_console_script_installed(self):
         """[project.scripts] packmatch, run as pip's wrapper (no install), serves --help; so does any installed copy."""

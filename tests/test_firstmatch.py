@@ -310,6 +310,9 @@ class TestEndpointSpectrum:
         forced = endpoint_spectrum(PackSpec(3, 3), mode="decimal", precision=30)
         assert forced.mode == "decimal"
         assert forced.precision == 30
+        # The default mode picks rational below the limit whatever the precision.
+        assert endpoint_spectrum(PackSpec(3, 3), precision=30).mode == "rational"
+        assert endpoint_spectrum(PackSpec(140, 3), precision=30).precision == 30
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -44,8 +44,9 @@ from packmatch.montecarlo import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (n, d, trials, seed) of each pinned experiment; (2, 3) crosses a chunk, and
-# (2, 2) and (200, 3) draw multinomial rows, the others item colors.
+# (n, d, trials, seed) of each pinned experiment; (2, 3) crosses a chunk.
+# (2, 2) and (200, 3) draw multinomial rows, (1, 2000) sorted item colors,
+# and the others coded item colors.
 _GOLDEN_EXPERIMENTS = [
     (12, 12, 300, 3),
     (60, 5, 500, 5),
@@ -173,28 +174,103 @@ class TestPairMatchRate:
         assert report.seed == 2**64 - 1
 
 
+class TestFirstColorCdf:
+    @pytest.mark.parametrize("n, d", [(60, 5), (4, 2), (90, 3)])
+    def test_is_the_exact_binomial_cdf_rounded_once(self, n, d):
+        # (90, 3) is the largest n that draws its first color from the table
+        # at d = 3; entries that round to 1.0 are left out.
+        exact = [
+            float(Fraction(sum(math.comb(n, j) * (d - 1) ** (n - j) for j in range(i + 1)), d**n))
+            for i in range(n + 1)
+        ]
+        cdf = montecarlo._first_color_cdf(PackSpec(n, d))
+        assert cdf.tolist() == [value for value in exact if value < 1.0]
+
+    def test_only_where_numpy_inverts(self):
+        assert montecarlo._first_color_cdf(PackSpec(91, 3)) is None
+        assert montecarlo._first_color_cdf(PackSpec(5, 1)) is None
+        assert montecarlo._first_color_cdf(PackSpec(0, 3)).size == 0
+
+
+def _decode(code: int, spec: PackSpec) -> tuple[int, ...]:
+    """The color counts of an endpoint code ``sum(count_c·(n + 1)**c)``."""
+    counts = []
+    for _ in range(spec.d):
+        code, count = divmod(code, spec.n + 1)
+        counts.append(count)
+    return tuple(counts)
+
+
+class TestKeySources:
+    @pytest.mark.parametrize(
+        "n, d, source",
+        [
+            (2, 39, "_coded_keys"),  # 3**39 < 2**63
+            (2, 40, "_sorted_color_keys"),  # 3**40 > 2**63
+            (1, 2000, "_sorted_color_keys"),
+            (16, 16, "_sorted_color_keys"),  # 17**16 > 2**63
+            (200, 3, "_multinomial_keys"),  # n > 30·(d - 2)
+            (5, 2, "_multinomial_keys"),
+        ],
+    )
+    def test_shape_rule(self, n, d, source):
+        assert montecarlo._key_source(PackSpec(n, d))[0] is getattr(montecarlo, source)
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (4, 3), (5, 4), (8, 4)])
+    def test_decoded_codes_match_endpoint_law(self, n, d):
+        # Chi-square at significance 0.001. (8, 4) draws runs of 6 colors, so
+        # its last run holds 2 and reads its draw mod 4**2.
+        spec, samples = PackSpec(n, d), 10**6
+        codes = Counter(montecarlo._coded_keys(spec, _generator(41, n + d), samples))
+        hist = Counter({_decode(code, spec): count for code, count in codes.items()})
+        comps = list(compositions(spec))
+        assert set(hist) <= set(comps)
+        observed = [hist[c] for c in comps]
+        expected = [float(endpoint_probability(spec, c)) * samples for c in comps]
+        assert chisquare(observed, expected).pvalue > 0.001
+
+    def test_code_table_runs(self):
+        table, runs, extra = montecarlo._code_table(8, 4)
+        assert (table.size, runs, extra) == (4**6, 2, 4)
+        assert table[0] == 6 and table[-1] == 6 * 9**3  # six colors 0, six colors 3
+        assert montecarlo._code_table(5, 4)[1:] == (1, 0)
+        assert montecarlo._code_table(0, 4)[1:] == (0, 0)
+
+    @pytest.mark.parametrize("n, d", [(1, 2000), (2, 40), (16, 16)])
+    def test_sorted_colors_and_counts_give_equal_times(self, n, d, monkeypatch):
+        # Both keys identify the endpoint of the same draws.
+        spec, times = PackSpec(n, d), []
+        for source in (montecarlo._sorted_color_keys, montecarlo._color_count_keys):
+            monkeypatch.setattr(montecarlo, "_key_source", lambda spec, source=source: (source, n))
+            times.append(montecarlo._first_match_times(spec, _generator(5, 0), 20))
+        assert times[0] == times[1]
+
+    @pytest.mark.parametrize("n, d", [(2, 39), (2, 40)])
+    def test_mean_within_five_standard_errors_of_exact(self, n, d):
+        # Either side of (n + 1)**d < 2**63: coded keys, then sorted colors.
+        spec = PackSpec(n, d)
+        exact = float(exact_pmf_and_expectation(endpoint_spectrum(spec)).expectation)
+        report = first_match_experiment(spec, 20000, 43)
+        assert abs(report.mean - exact) < 5 * report.std_error
+
+
 class StubGenerator:
-    """Stands in for the generator behind a row source: rows that never repeat, and their sizes."""
+    """Stands in for the generator behind a key source: keys that never repeat, and their counts."""
 
     def __init__(self) -> None:
         self.sizes: list[int] = []
         self._next = 0
 
-    def rows(self, spec, size):
+    def keys(self, size):
         self.sizes.append(size)
-        rows = np.zeros((size, spec.d), dtype=np.int64)
-        counter = np.arange(self._next, self._next + size)
-        rows[:, 0], rows[:, 1] = counter % 256, counter // 256
         self._next += size
-        return rows
+        return list(range(self._next - size, self._next))
 
 
 @pytest.fixture
 def stub_rows(monkeypatch):
-    """Route the item-color row source through ``StubGenerator.rows``."""
-    monkeypatch.setattr(
-        montecarlo, "_item_color_rows", lambda spec, rng, rows: rng.rows(spec, rows)
-    )
+    """Route the coded item-color key source through ``StubGenerator.keys``."""
+    monkeypatch.setattr(montecarlo, "_coded_keys", lambda spec, rng, rows: rng.keys(rows))
 
 
 class TestFirstMatchTrial:
@@ -207,7 +283,7 @@ class TestFirstMatchTrial:
 
     def test_pigeonhole_guard(self, stub_rows):
         spec = PackSpec(4, 5)  # 70 distinct endpoints -> a repeat by pack 71
-        assert montecarlo._uses_item_colors(spec)
+        assert montecarlo._key_source(spec)[0] is montecarlo._coded_keys
         cap = distinct_pack_count(spec) + 1
         rng = StubGenerator()
         with pytest.raises(AssertionError, match=f"no repeat within {cap} packs"):
