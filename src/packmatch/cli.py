@@ -32,6 +32,7 @@ from typing import Any, Callable
 
 from .coincidence import (
     PackSpec,
+    _check_run,
     coincidence_probability,
     count_closed,
     count_gf,
@@ -308,18 +309,38 @@ def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     return record, False
 
 
+def _simulate_reference(kind: str, spec: PackSpec) -> tuple[float | None, bool]:
+    """The exact value a simulation is checked against, and its precision alarm.
+
+    ``pair`` takes the match probability; ``firstmatch`` takes the exact
+    oracle's expectation at ``_REFERENCE_PRECISION`` digits, or None above
+    ``_REFERENCE_ENDPOINT_LIMIT`` endpoints. Only a float leaves this
+    function, so the spectrum and law are freed before numpy loads.
+    """
+    if kind == "pair":
+        return float(coincidence_probability(spec)), False
+    if distinct_pack_count(spec) > _REFERENCE_ENDPOINT_LIMIT:
+        return None, False
+    from .firstmatch import endpoint_spectrum, exact_pmf_and_expectation
+
+    spectrum = endpoint_spectrum(spec, precision=_REFERENCE_PRECISION)
+    law = exact_pmf_and_expectation(spectrum, tol=1e-9)
+    return float(law.expectation), law.precision_alarm
+
+
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    spec = PackSpec(args.n, args.d)
+    _check_run(args.trials, args.seed)
+    # The reference runs before numpy loads, whose import then reuses the
+    # memory the reference freed: the peak is the larger of the two, not
+    # their sum.
+    reference, alarm = _simulate_reference(args.kind, spec)
     # numpy import deferred so the exact subcommands start fast. Sampling
     # never calls BLAS, so an idle OpenBLAS worker thread only costs CPU;
     # a value the user has set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    if args.kind == "firstmatch":
-        # Before numpy: compiled after it, this module raises the peak RSS.
-        from .firstmatch import endpoint_spectrum, exact_pmf_and_expectation
     from . import montecarlo
 
-    spec = PackSpec(args.n, args.d)
-    montecarlo._check_run(args.trials, args.seed)
     record: dict[str, Any] = {
         "command": "simulate",
         "kind": args.kind,
@@ -328,9 +349,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "trials": args.trials,
         "seed": args.seed,
     }
-    alarm = False
     if args.kind == "pair":
-        reference = float(coincidence_probability(spec))
         report = montecarlo.pair_match_rate(
             spec, args.trials, args.seed, analytic_reference=reference
         )
@@ -345,12 +364,6 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             }
         )
     else:
-        reference = None
-        if distinct_pack_count(spec) <= _REFERENCE_ENDPOINT_LIMIT:
-            spectrum = endpoint_spectrum(spec, precision=_REFERENCE_PRECISION)
-            law = exact_pmf_and_expectation(spectrum, tol=1e-9)
-            reference = float(law.expectation)
-            alarm = law.precision_alarm
         report = montecarlo.first_match_experiment(
             spec, args.trials, args.seed, analytic_reference=reference
         )

@@ -47,6 +47,14 @@ class PackSpec(NamedTuple("PackSpec", [("n", int), ("d", int)])):
         return super().__new__(cls, n, d)
 
 
+def _check_run(total: int, seed: int) -> None:
+    """Reject a Monte Carlo trial count below 1 or a seed outside [0, 2**64)."""
+    if total < 1:
+        raise ValueError(f"trial count must be positive, got {total}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit non-negative value, got {seed}")
+
+
 def compositions(spec: PackSpec) -> Iterator[tuple[int, ...]]:
     """Yield every weak composition of ``n`` into ``d`` parts exactly once.
 
@@ -116,7 +124,8 @@ def recursive_columns(max_n: int, max_d: int) -> Iterator[list[int]]:
     bottom-up from the recursion over colors, which splits on how many items
     of the last color each pack holds:
     count(n, d) = sum_k C(n, k)^2 * count(n - k, d - 1), with count(n, 1) = 1.
-    Each squared binomial is computed once and reused for every column.
+    Each squared binomial is computed once and reused for every column; the
+    binomials come from Pascal rows, each built from the last by addition.
 
     Raises:
         ValueError: if ``max_n`` is negative or ``max_d`` is not positive.
@@ -126,7 +135,11 @@ def recursive_columns(max_n: int, max_d: int) -> Iterator[list[int]]:
     yield column
     if max_d == 1:
         return
-    squares = [[binomial(n, k) ** 2 for k in range(n + 1)] for n in range(max_n + 1)]
+    squares = []
+    row = [1]
+    for _ in range(max_n + 1):
+        squares.append([c * c for c in row])
+        row = [1, *map(operator.add, row, row[1:]), 1]
     for _ in range(2, max_d + 1):
         # C(n, k) = C(n, n - k), so pairing squares[n][k] with count(k, d - 1)
         # gives the same sum as pairing it with count(n - k, d - 1).

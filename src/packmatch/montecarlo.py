@@ -14,7 +14,10 @@ not yet placed, but it draws both packs of every pair one color at a time and
 drops a pair at the first color where the two counts differ. Most pairs differ
 at the first color. Where numpy would draw that color by inversion
 (``n <= 30·d``), it is one uniform per pack looked up in a table of the
-``Bin(n, 1/d)`` CDF; elsewhere its draws share one binomial set-up.
+``Bin(n, 1/d)`` CDF; elsewhere its draws share one binomial set-up. The first
+color is drawn in slices of a few thousand, the first packs of a chunk's
+pairs before the second, into counts of the narrowest unsigned type that
+holds ``n``: the stream of one full-width draw, with a few hundred KB alive.
 
 The first-match experiment runs a chunk's trials in one kernel,
 ``_first_match_times``. Each trial draws endpoints in growing blocks; the
@@ -25,9 +28,12 @@ alone picks its key source (``_key_source``). Where ``d >= 3`` and
 ``n <= 30·(d - 2)`` a pack is item colors: one int64 draw in ``[0, d**k)``
 per run of ``k`` colors, looked up as an int64 endpoint code, where the code
 ``sum(count_c·(n + 1)**c)`` fits (``(n + 1)**d < 2**63``); ``n`` int64 draws
-elsewhere, keyed by their sorted colors. Every other shape draws numpy's multinomial (``d - 1`` binomials
-per pack): a ``d = 2`` row is one binomial whose set-up numpy reuses, and once
-``n/d`` is large the binomials cost little while item colors cost ``O(n)``.
+elsewhere, keyed by their sorted colors. Every other shape draws numpy's
+multinomial (``d - 1`` binomials per pack): a ``d = 2`` row is one binomial
+whose set-up numpy reuses, and once ``n/d`` is large the binomials cost little
+while item colors cost ``O(n)``. ``endpoint_histogram`` keys its ``n`` int64
+item colors per sample by the same rule, code or sorted colors, so its memory
+grows with samples times ``n``, not ``d``.
 
 Determinism contract: trials are split into fixed-size chunks, and chunk ``i``
 draws from its own generator, keyed by numpy's ``SeedSequence`` on the
@@ -48,7 +54,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .coincidence import PackSpec, distinct_pack_count
+from .coincidence import PackSpec, _check_run, distinct_pack_count
 
 RNG_ALGORITHM = "PCG64"
 
@@ -70,6 +76,7 @@ _CODE_TABLE_SIZE = 1 << 12  # entries of a coded first-match lookup table at mos
 # Past it numpy's binomial costs O(1) a draw, while the table grows with n.
 _INVERSION_SLOPE = 30
 _CDF_DIGITS = 40  # significant digits of the first-color CDF before it is rounded
+_FIRST_COLOR_SLICE = 1 << 12  # first-color draws per numpy call in the pair experiment
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -77,14 +84,6 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for stream ``stream`` of experiment ``seed``."""
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(sequence))
-
-
-def _check_run(total: int, seed: int) -> None:
-    """Reject a trial count below 1 or a seed outside [0, 2**64)."""
-    if total < 1:
-        raise ValueError(f"trial count must be positive, got {total}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit non-negative value, got {seed}")
 
 
 def _streams(seed: int, total: int, chunk: int) -> Iterator[tuple[np.random.Generator, int]]:
@@ -162,6 +161,29 @@ def _first_color_cdf(spec: PackSpec) -> np.ndarray | None:
     return np.array(cdf)
 
 
+def _first_colors(
+    spec: PackSpec, rng: np.random.Generator, size: int, cdf: np.ndarray | None
+) -> np.ndarray:
+    """The first color's count in both packs of ``size`` pairs, shape ``(2, size)``.
+
+    Row 0 holds the first packs and row 1 the second, in the narrowest
+    unsigned type that holds ``n``. Each row is drawn in slices of
+    ``_FIRST_COLOR_SLICE``, row 0 first, which reads the stream in the order
+    of one ``(2, size)`` draw: one uniform per pack inverted on ``cdf``, the
+    table of ``_first_color_cdf``, where it is given, otherwise ``Bin(n, 1/d)``
+    with scalar parameters, which numpy sets up once.
+    """
+    rows = np.empty((2, size), np.min_scalar_type(spec.n))
+    for row in rows:
+        for start in range(0, size, _FIRST_COLOR_SLICE):
+            part = row[start : start + _FIRST_COLOR_SLICE]
+            if cdf is not None:
+                part[:] = np.searchsorted(cdf, rng.random(part.size), side="right")
+            else:
+                part[:] = rng.binomial(spec.n, 1.0 / spec.d, size=part.size)
+    return rows
+
+
 def _matching_pairs(
     spec: PackSpec, rng: np.random.Generator, size: int, cdf: np.ndarray | None
 ) -> int:
@@ -172,20 +194,21 @@ def _matching_pairs(
     A pair is dropped when its two draws differ and is a match when they
     agree and place every item (each later color is 0 in both packs); the
     rest go on, and those left after color ``d - 2`` match (the last color
-    holds the rest). The first color inverts one uniform per pack on ``cdf``,
-    the table of ``_first_color_cdf``, where it is given; otherwise it draws
-    binomials with scalar parameters, so numpy sets them up once.
+    holds the rest). The first color comes from ``_first_colors``; the few
+    pairs left draw each later color in one call.
     """
     matches = 0
     remaining = spec.n
     for color in range(spec.d - 1):
-        if color == 0 and cdf is not None:
-            first, second = np.searchsorted(cdf, rng.random((2, size)), side="right")
+        if color == 0:
+            first, second = _first_colors(spec, rng, size, cdf)
         else:
             first, second = rng.binomial(remaining, 1.0 / (spec.d - color), size=(2, size))
         same = first == second
         matches += int(np.count_nonzero(same & (first == remaining)))
-        remaining = (remaining - first)[same & (first < remaining)]
+        # numpy's binomial reads int64 counts, to which uint64 (n >= 2**32)
+        # does not cast safely; the survivors are few.
+        remaining = (remaining - first)[same & (first < remaining)].astype(np.int64, copy=False)
         size = remaining.size
     return matches + size
 
@@ -221,17 +244,6 @@ def pair_match_rate(
     )
 
 
-def _color_counts(colors: np.ndarray, d: int) -> np.ndarray:
-    """Per-row counts of an int64 ``(rows, n)`` array of colors in ``[0, d)``.
-
-    Adds ``row·d`` to each row of ``colors`` in place and counts every row
-    with one ``bincount``; the result has shape ``(rows, d)``.
-    """
-    rows = colors.shape[0]
-    colors += np.arange(0, rows * d, d)[:, None]
-    return np.bincount(colors.ravel(), minlength=rows * d).reshape(rows, d)
-
-
 def _endpoint_keys(counts: np.ndarray, n: int) -> list[bytes]:
     """One bytes key per row of ``counts``, in the narrowest unsigned type holding ``n``."""
     return _row_keys(counts.astype(np.min_scalar_type(n)))
@@ -240,6 +252,17 @@ def _endpoint_keys(counts: np.ndarray, n: int) -> list[bytes]:
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of a C-contiguous 2-D array, one key per row."""
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _code_fits(spec: PackSpec) -> bool:
+    """Whether the endpoint code ``sum(count_c·(n + 1)**c)`` fits an int64."""
+    # (n + 1)**63 >= 2**63 for n >= 1, so d is capped before the power grows.
+    return (spec.n + 1) ** min(spec.d, 63) < 2**63
+
+
+def _code_powers(n: int, d: int) -> np.ndarray:
+    """The int64 code ``(n + 1)**c`` of one item of each color ``c``."""
+    return np.array([(n + 1) ** c for c in range(d)], dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -254,7 +277,7 @@ def _code_table(n: int, d: int) -> tuple[np.ndarray, int, int]:
     k = 0
     while k < n and d ** (k + 1) <= _CODE_TABLE_SIZE:
         k += 1
-    powers = np.array([(n + 1) ** c for c in range(d)], dtype=np.int64)
+    powers = _code_powers(n, d)
     digits = np.arange(d**k)
     table = np.zeros(d**k, dtype=np.int64)
     for _ in range(k):
@@ -289,12 +312,6 @@ def _sorted_color_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> l
     return _row_keys(colors)
 
 
-def _color_count_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
-    """``rows`` keys, each the counts of ``n`` uniform int64 item colors (``endpoint_histogram``)."""
-    colors = rng.integers(0, spec.d, size=(rows, spec.n))
-    return _endpoint_keys(_color_counts(colors, spec.d), spec.n)
-
-
 def _multinomial_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
     """``rows`` keys, each an endpoint drawn by numpy's multinomial (``d - 1`` binomials)."""
     counts = rng.multinomial(spec.n, np.full(spec.d, 1.0 / spec.d), size=rows)
@@ -313,8 +330,7 @@ def _key_source(
     n, d = spec
     if d < 3 or n > _ITEM_COLOR_SLOPE * (d - 2):
         return _multinomial_keys, d
-    # (n + 1)**63 >= 2**63 for n >= 1, so d is capped before the power grows.
-    if (n + 1) ** min(d, 63) < 2**63:
+    if _code_fits(spec):
         return _coded_keys, max(1, _code_table(n, d)[1])
     return _sorted_color_keys, n
 
@@ -458,14 +474,37 @@ def endpoint_histogram(
     This one samples the per-draw color sequences themselves (not the
     multinomial shortcut), so it exercises the ordered model end to end; the
     test suite compares the result against the exact endpoint probabilities.
-    Samples are tallied by their ``_color_count_keys`` key; each key is decoded once.
+    A chunk draws its ``n`` int64 colors per sample in one call and keys each
+    sample by the first-match rule: its endpoint code, computed in place,
+    where the code fits an int64, else the bytes of its sorted colors. Each
+    distinct key is decoded once.
 
     Raises:
         ValueError: if ``samples`` is not positive or ``seed`` is negative.
     """
-    keys: Counter[bytes] = Counter()
+    n, d = spec
+    coded = _code_fits(spec)
+    powers = _code_powers(n, d) if coded else None
+    keys: Counter = Counter()
     for rng, size in _streams(seed, samples, _HISTOGRAM_CHUNK):
-        keys.update(_color_count_keys(spec, rng, size))
-    key_type = np.min_scalar_type(spec.n)
-    decoded = ((tuple(np.frombuffer(key, key_type).tolist()), count) for key, count in keys.items())
-    return dict(sorted(decoded))
+        if coded:
+            colors = rng.integers(0, d, size=(size, n))
+            # Each entry reads its own color before it is overwritten; "clip"
+            # never changes a color in [0, d) and keeps numpy from buffering.
+            np.take(powers, colors, out=colors, mode="clip")
+            codes, counts = np.unique(colors.sum(axis=1), return_counts=True)
+            keys.update(dict(zip(codes.tolist(), counts.tolist())))
+        else:
+            keys.update(_sorted_color_keys(spec, rng, size))
+    color_type = np.min_scalar_type(d - 1)
+    decoded = {}
+    for key, count in keys.items():
+        if coded:
+            endpoint = []
+            for _ in range(d):
+                key, part = divmod(key, n + 1)
+                endpoint.append(part)
+        else:
+            endpoint = np.bincount(np.frombuffer(key, color_type), minlength=d).tolist()
+        decoded[tuple(endpoint)] = count
+    return dict(sorted(decoded.items()))

@@ -747,6 +747,37 @@ class TestSubprocessDeterminism:
             loaded = set(result.stderr.decode().split())
             assert present <= loaded and not absent & loaded, (argv, loaded)
 
+    def test_simulate_reference_is_freed_before_numpy_loads(self):
+        # The oracle runs without numpy and leaves only a float behind, so
+        # numpy's import and the sampling reuse the memory it freed.
+        script = (
+            "import gc, sys, packmatch.cli\n"
+            "from packmatch import firstmatch\n"
+            "events = []\n"
+            "law = firstmatch.exact_pmf_and_expectation\n"
+            "def exact(*args, **kwargs):\n"
+            "    events.append(('oracle, numpy loaded', 'numpy' in sys.modules))\n"
+            "    return law(*args, **kwargs)\n"
+            "firstmatch.exact_pmf_and_expectation = exact\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name == 'first_match_experiment':\n"
+            "        alive = [o for o in gc.get_objects() if isinstance(o, firstmatch.EndpointSpectrum)]\n"
+            "        events.append(('sampling, spectra alive', len(alive)))\n"
+            "sys.setprofile(profile)\n"
+            "assert packmatch.cli.main(sys.argv[1:]) == 0\n"
+            "sys.setprofile(None)\n"
+            "print(repr(events), file=sys.stderr)\n"
+        )
+        argv = ["simulate", "firstmatch", "--n", "4", "--d", "3", "--trials", "5"]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, env=child_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.decode().strip() == repr(
+            [("oracle, numpy loaded", False), ("sampling, spectra alive", 0)]
+        )
+
     def test_lazy_names_resolve_in_a_fresh_process(self):
         # Registered but not run, so that code wrapping its functions in
         # sys.modules (bench/trace_job.py) still finds it.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 import threading
 from collections import Counter
@@ -292,6 +293,18 @@ class TestCoincidenceTable:
                     binomial(n, k) ** 2 * previous[n - k] for k in range(n + 1)
                 )
                 assert column[n] == count_closed(PackSpec(n, d))
+
+    def test_squares_come_from_pascal_rows_built_by_addition(self, monkeypatch):
+        # One binomial per (n, k) cost almost all of the d = 2 grid; the work
+        # is checked, not the wall time. The closed route's Pascal rows are not
+        # shared, so the routes stay independent. count(n, 2) = C(2n, n).
+        def refuse(*_args):
+            raise RuntimeError("recursive_columns computed a binomial on its own")
+
+        monkeypatch.setattr(coincidence, "binomial", refuse)
+        monkeypatch.setattr(coincidence, "_pascal_rows", refuse)
+        column = list(recursive_columns(300, 2))[-1]
+        assert column == [math.comb(2 * n, n) for n in range(301)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

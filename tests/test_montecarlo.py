@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +58,18 @@ _GOLDEN_EXPERIMENTS = [
     (200, 3, 300, 11),
 ]
 _GOLDEN_TRIAL_SHAPES = [(12, 12), (2, 2)]
+# (n, d, trials, seed) of each pinned pair experiment. (60, 5) and (7, 2) cross
+# a chunk and invert their first color on the CDF table, (7, 2) with about 13800
+# matches; (200, 3) draws it as binomials (n > 30·d); (0, 3) and (3, 1) match
+# without a draw.
+_GOLDEN_PAIR_EXPERIMENTS = [
+    (60, 5, _CHUNK + 1, 3),
+    (7, 2, _CHUNK + 1, 3),
+    (200, 3, 200000, 5),
+    (4, 3, 10000, 1),
+    (0, 3, 100, 1),
+    (3, 1, 100, 1),
+]
 
 
 def first_match_digits() -> dict:
@@ -79,6 +92,14 @@ def first_match_digits() -> dict:
         values = [first_match_trial(PackSpec(n, d), rng) for _ in range(20)]
         trial_runs[f"{n},{d}"] = {"values": values, "state": rng.bit_generator.state}
     return {"experiments": experiments, "trials": trial_runs}
+
+
+def pair_match_digits() -> dict:
+    """Seeded ``pair_match_rate`` match counts, keyed ``"n,dxtrials@seed"``."""
+    return {
+        f"{n},{d}x{trials}@{seed}": pair_match_rate(PackSpec(n, d), trials, seed).matches
+        for n, d, trials, seed in _GOLDEN_PAIR_EXPERIMENTS
+    }
 
 
 class TestWilsonInterval:
@@ -163,6 +184,30 @@ class TestPairMatchRate:
         )
         assert covered >= 90
 
+    def test_seeded_matches_equal_golden(self):
+        golden = json.loads((GOLDEN / "pair_match_seeded.json").read_text("utf-8"))
+        assert pair_match_digits() == golden
+
+    def test_chunk_memory_stays_below_one_megabyte(self):
+        # The first colors are drawn in slices into one narrow (2, 65536)
+        # array; one full-width float64 draw alone would take 1 MB. Warmed
+        # first, so numpy's one-time set-up is not counted.
+        spec = PackSpec(60, 5)
+        pair_match_rate(spec, 10, 0)
+        tracemalloc.start()
+        try:
+            pair_match_rate(spec, _CHUNK, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_pack_size_past_four_billion(self):
+        # The counts are uint64 there, which numpy's binomial reads only
+        # after a cast to int64.
+        report = pair_match_rate(PackSpec(2**33, 3), 10, 1)
+        assert report.matches == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pair_match_rate(PackSpec(1, 2), 0, 0)
@@ -199,6 +244,13 @@ def _decode(code: int, spec: PackSpec) -> tuple[int, ...]:
         code, count = divmod(code, spec.n + 1)
         counts.append(count)
     return tuple(counts)
+
+
+def _color_count_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
+    """The endpoint counts of ``n`` int64 item colors per row, keyed as 0.3.0 keyed them."""
+    colors = rng.integers(0, spec.d, size=(rows, spec.n))
+    counts = np.stack([(colors == c).sum(axis=1) for c in range(spec.d)], axis=1)
+    return montecarlo._endpoint_keys(counts, spec.n)
 
 
 class TestKeySources:
@@ -240,7 +292,7 @@ class TestKeySources:
     def test_sorted_colors_and_counts_give_equal_times(self, n, d, monkeypatch):
         # Both keys identify the endpoint of the same draws.
         spec, times = PackSpec(n, d), []
-        for source in (montecarlo._sorted_color_keys, montecarlo._color_count_keys):
+        for source in (montecarlo._sorted_color_keys, _color_count_keys):
             monkeypatch.setattr(montecarlo, "_key_source", lambda spec, source=source: (source, n))
             times.append(montecarlo._first_match_times(spec, _generator(5, 0), 20))
         assert times[0] == times[1]
@@ -429,24 +481,36 @@ class TestEndpointHistogram:
             expected = [float(endpoint_probability(spec, c)) * samples for c in comps]
             assert chisquare(observed, expected).pvalue > 0.001
 
-    def test_color_counts_match_per_color_sums(self):
-        # The bincount helper against one comparison pass per color.
-        rng = np.random.default_rng(5)
-        for rows, n, d in [(50, 7, 3), (40, 2, 9), (30, 0, 4), (1, 60, 5), (20, 1, 2000)]:
-            colors = rng.integers(0, d, size=(rows, n))
-            expected = np.stack([(colors == c).sum(axis=1) for c in range(d)], axis=1)
-            assert np.array_equal(montecarlo._color_counts(colors.copy(), d), expected)
-
-    @pytest.mark.parametrize("n, d", [(300, 2), (256, 3)])
-    def test_two_byte_keys_match_a_per_row_tally(self, n, d):
-        # n >= 256 keys endpoints as uint16, so each decoded count spans two
-        # bytes. Fewer samples than one stream holds, so the histogram draws
-        # exactly the rows below.
-        samples, seed = 4000, 23
-        colors = _generator(seed, 0).integers(0, d, size=(samples, n))
-        tally = Counter(tuple(np.bincount(row, minlength=d).tolist()) for row in colors)
-        hist = endpoint_histogram(PackSpec(n, d), samples, seed)
+    @pytest.mark.parametrize(
+        "samples, n, d",
+        [(50, 7, 3), (40, 2, 9), (30, 0, 4), (1, 60, 5), (4000, 300, 2), (4000, 256, 3),
+         (20, 1, 2000), (20, 2, 40)],
+    )
+    def test_keys_decode_to_per_color_sums(self, samples, n, d):
+        # Coded keys, counts of 256 and more among them, and sorted colors
+        # where the code overflows an int64 ((1, 2000), two bytes a color,
+        # and (2, 40)), against one comparison pass per color on the same
+        # draws: fewer samples than one stream holds.
+        colors = _generator(5, 0).integers(0, d, size=(samples, n))
+        counts = np.stack([(colors == c).sum(axis=1) for c in range(d)], axis=1)
+        tally = Counter(tuple(row) for row in counts.tolist())
+        hist = endpoint_histogram(PackSpec(n, d), samples, 5)
         assert list(hist.items()) == sorted(tally.items())
+
+    def test_memory_grows_with_samples_times_n(self):
+        # Sorted colors key each sample by its n two-byte colors here; keys
+        # of per-color counts would take 16384·d int64s a chunk (313 MB
+        # traced). The returned dict of 2000-tuples holds most of the 40 MB.
+        spec = PackSpec(1, 2000)
+        endpoint_histogram(spec, 10, 0)
+        tracemalloc.start()
+        try:
+            hist = endpoint_histogram(spec, 1 << 14, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.values()) == 1 << 14
+        assert peak <= 40 * 2**20
 
     def test_empty_pack_histogram(self):
         hist = endpoint_histogram(PackSpec(0, 3), 1000, 4)
