@@ -12,9 +12,10 @@ Subcommands:
 * ``simulate``: seeded Monte Carlo estimates with confidence intervals.
 
 Exit codes: 0 success; 2 usage or validation error (bad arguments, malformed
-distribution file); 3 precision alarm from the decimal-mode oracle; 4
-internal invariant breach (for example the counting routes disagreeing); 141
-stdout closed before the output was written (a reader such as ``head`` quit).
+distribution file, a size too large to index); 3 precision alarm from the
+decimal-mode oracle; 4 internal invariant breach (for example the counting
+routes disagreeing); 141 stdout closed before the output was written (a
+reader such as ``head`` quit).
 
 Output formats: ``plain`` (human readable), ``csv``, and ``json``. JSON
 renders exact rationals as numerator/denominator digit strings so no
@@ -71,6 +72,15 @@ _ROUTES: dict[str, Callable[[PackSpec], int]] = {
 
 def _fraction_record(value: Fraction) -> dict[str, str]:
     return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
+
+
+def _probability_fields(probability: Fraction, digits: int) -> dict[str, Any]:
+    return {
+        "probability": _fraction_record(probability),
+        "decimal": decimal_string(probability, digits),
+        "scientific": significant_string(probability, max(digits, 1)),
+        "digits": digits,
+    }
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -231,10 +241,7 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "counts": {name: str(value) for name, value in counts.items()},
         "count": str(count),
         "sample_space": str(spec.d ** (2 * spec.n)),
-        "probability": _fraction_record(probability),
-        "decimal": decimal_string(probability, args.digits),
-        "scientific": significant_string(probability, max(args.digits, 1)),
-        "digits": args.digits,
+        **_probability_fields(probability, args.digits),
     }
     return record, False
 
@@ -301,10 +308,7 @@ def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             {"n": size, "weight": _fraction_record(weight)}
             for size, weight in distribution.weights
         ],
-        "probability": _fraction_record(probability),
-        "decimal": decimal_string(probability, args.digits),
-        "scientific": significant_string(probability, max(args.digits, 1)),
-        "digits": args.digits,
+        **_probability_fields(probability, args.digits),
     }
     return record, False
 
@@ -339,45 +343,25 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     # never calls BLAS, so an idle OpenBLAS worker thread only costs CPU;
     # a value the user has set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from dataclasses import asdict
+
     from . import montecarlo
 
-    record: dict[str, Any] = {
+    run = montecarlo.pair_match_rate if args.kind == "pair" else montecarlo.first_match_experiment
+    report = run(spec, args.trials, args.seed)
+    # The header keys come first; the report's fields of the same name keep
+    # their places, and the rest follow in the report's field order.
+    record = {
         "command": "simulate",
         "kind": args.kind,
         "n": spec.n,
         "d": spec.d,
         "trials": args.trials,
         "seed": args.seed,
+        "algorithm": report.algorithm,
+        **asdict(report),
+        "analytic_reference": reference,
     }
-    if args.kind == "pair":
-        report = montecarlo.pair_match_rate(
-            spec, args.trials, args.seed, analytic_reference=reference
-        )
-        record.update(
-            {
-                "algorithm": report.algorithm,
-                "matches": report.matches,
-                "estimate": report.estimate,
-                "ci_low": report.ci_low,
-                "ci_high": report.ci_high,
-                "analytic_reference": report.analytic_reference,
-            }
-        )
-    else:
-        report = montecarlo.first_match_experiment(
-            spec, args.trials, args.seed, analytic_reference=reference
-        )
-        record.update(
-            {
-                "algorithm": report.algorithm,
-                "mean": report.mean,
-                "std_error": report.std_error,
-                "ci_low": report.ci_low,
-                "ci_high": report.ci_high,
-                "histogram": {str(k): v for k, v in report.histogram.items()},
-                "analytic_reference": report.analytic_reference,
-            }
-        )
     return record, alarm
 
 
@@ -456,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record, alarm = args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

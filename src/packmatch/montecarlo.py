@@ -67,14 +67,13 @@ _HISTOGRAM_CHUNK = 1 << 14
 # only speed and memory.
 _DRAW_BUDGET = 1 << 14
 _DRAW_ROWS = 1 << 10  # rows per first-match call at most: each row becomes a key
-# Item colors while n <= 30·(d - 2): numpy's binomials cost O(1) once n/d
-# passes 30, and multinomial rows tie or win at (48, 3) and d = 2.
-_ITEM_COLOR_SLOPE = 30
 _CODE_TABLE_SIZE = 1 << 12  # entries of a coded first-match lookup table at most
-# numpy draws Bin(n, p), p <= 1/2, by inversion while n·p <= 30, where a
-# table of the first color's CDF is cheaper and reads the same one uniform.
-# Past it numpy's binomial costs O(1) a draw, while the table grows with n.
-_INVERSION_SLOPE = 30
+# numpy draws Bin(n, p), p <= 1/2, by inversion while n·p <= 30 and past that
+# at O(1) a draw. So the pair experiment inverts its first color, Bin(n, 1/d),
+# on a CDF table, which reads the same one uniform, while n <= 30·d, where the
+# table stays small; and first-match packs are item colors while
+# n <= 30·(d - 2), as multinomial rows tie or win at (48, 3) and d = 2.
+_INVERSION_LIMIT = 30
 _CDF_DIGITS = 40  # significant digits of the first-color CDF before it is rounded
 _FIRST_COLOR_SLICE = 1 << 12  # first-color draws per numpy call in the pair experiment
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -131,7 +130,6 @@ class TrialReport:
     ci_low: float
     ci_high: float
     algorithm: str
-    analytic_reference: float | None = None
 
 
 def _first_color_cdf(spec: PackSpec) -> np.ndarray | None:
@@ -144,7 +142,7 @@ def _first_color_cdf(spec: PackSpec) -> np.ndarray | None:
     binomial is not an inversion.
     """
     n, d = spec
-    if d < 2 or n > _INVERSION_SLOPE * d:
+    if d < 2 or n > _INVERSION_LIMIT * d:
         return None
     cdf = []
     # Rounding (d - 1)/d before its n-th power multiplies the relative error
@@ -213,12 +211,7 @@ def _matching_pairs(
     return matches + size
 
 
-def pair_match_rate(
-    spec: PackSpec,
-    trials: int,
-    seed: int,
-    analytic_reference: float | None = None,
-) -> TrialReport:
+def pair_match_rate(spec: PackSpec, trials: int, seed: int) -> TrialReport:
     """Estimate the probability that two independent packs match.
 
     Draws ``trials`` independent pack pairs in fixed-size chunks, each chunk
@@ -240,13 +233,7 @@ def pair_match_rate(
         ci_low=ci_low,
         ci_high=ci_high,
         algorithm=RNG_ALGORITHM,
-        analytic_reference=analytic_reference,
     )
-
-
-def _endpoint_keys(counts: np.ndarray, n: int) -> list[bytes]:
-    """One bytes key per row of ``counts``, in the narrowest unsigned type holding ``n``."""
-    return _row_keys(counts.astype(np.min_scalar_type(n)))
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
@@ -315,7 +302,7 @@ def _sorted_color_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> l
 def _multinomial_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> list[bytes]:
     """``rows`` keys, each an endpoint drawn by numpy's multinomial (``d - 1`` binomials)."""
     counts = rng.multinomial(spec.n, np.full(spec.d, 1.0 / spec.d), size=rows)
-    return _endpoint_keys(counts, spec.n)
+    return _row_keys(counts.astype(np.min_scalar_type(spec.n)))
 
 
 def _key_source(
@@ -328,7 +315,7 @@ def _key_source(
     Multinomial rows elsewhere.
     """
     n, d = spec
-    if d < 3 or n > _ITEM_COLOR_SLOPE * (d - 2):
+    if d < 3 or n > _INVERSION_LIMIT * (d - 2):
         return _multinomial_keys, d
     if _code_fits(spec):
         return _coded_keys, max(1, _code_table(n, d)[1])
@@ -427,15 +414,9 @@ class FirstMatchReport:
     ci_high: float
     histogram: dict[int, int]
     algorithm: str
-    analytic_reference: float | None = None
 
 
-def first_match_experiment(
-    spec: PackSpec,
-    trials: int,
-    seed: int,
-    analytic_reference: float | None = None,
-) -> FirstMatchReport:
+def first_match_experiment(spec: PackSpec, trials: int, seed: int) -> FirstMatchReport:
     """Run ``trials`` independent first-match trials, one seed stream per chunk.
 
     Raises:
@@ -462,7 +443,6 @@ def first_match_experiment(
         ci_high=mean + _Z_95 * std_error,
         histogram=dict(sorted(histogram.items())),
         algorithm=RNG_ALGORITHM,
-        analytic_reference=analytic_reference,
     )
 
 

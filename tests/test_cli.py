@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +24,9 @@ from packmatch.coincidence import (
 )
 from packmatch.exactmath import decimal_string
 from packmatch.firstmatch import FirstMatchLaw, endpoint_spectrum, exact_pmf_and_expectation
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REPO_ROOT = GOLDEN.parent.parent
 
 COUNT_GRID = [
     ["1", "2", "3", "4", "5"],
@@ -45,6 +49,31 @@ def run_json(*argv: str) -> dict:
     code, out, err = run_cli(*argv, "--format", "json")
     assert code == 0, err
     return json.loads(out)
+
+
+# The commands whose stdout ``cli_records.json`` pins in every format; the
+# mixture file path is relative to the repository root.
+_RECORD_COMMANDS = [
+    "simulate pair --n 4 --d 3 --trials 4000 --seed 1",
+    "simulate firstmatch --n 8 --d 3 --trials 2000 --seed 9",
+    "prob --n 24 --d 8 --digits 6",
+    "mixture tests/golden/mixture_sizes.txt --d 4",
+]
+
+
+def cli_records() -> dict[str, str]:
+    """The stdout of each ``_RECORD_COMMANDS`` entry in plain, csv and json.
+
+    Run from the repository root, where the mixture file path resolves.
+    """
+    outputs = {}
+    for command in _RECORD_COMMANDS:
+        for fmt in ("plain", "csv", "json"):
+            argv = [*command.split(), "--format", fmt]
+            code, out, err = run_cli(*argv)
+            assert (code, err) == (0, ""), err
+            outputs[" ".join(argv)] = out
+    return outputs
 
 
 def child_env() -> dict[str, str]:
@@ -534,6 +563,22 @@ class TestSimulate:
         assert "precision alarm" in err
         assert "analytic_reference: 2.5" in out
 
+    @pytest.mark.parametrize("kind, reference", [("pair", "0.5"), ("firstmatch", "2.5")])
+    def test_analytic_reference_is_the_last_field(self, kind, reference):
+        # The reports carry no reference; the CLI appends the exact one.
+        argv = ["simulate", kind, "--n", "1", "--d", "2", "--trials", "100", "--format"]
+        outs = {fmt: run_cli(*argv, fmt)[1] for fmt in ("plain", "csv", "json")}
+        assert outs["plain"].splitlines()[-1] == f"analytic_reference: {reference}"
+        assert outs["csv"].splitlines()[-1] == f"analytic_reference,{reference}"
+        record = json.loads(outs["json"])
+        assert list(record)[-1] == "analytic_reference"
+        assert record["analytic_reference"] == float(reference)
+
+    def test_records_equal_golden(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        golden = json.loads((GOLDEN / "cli_records.json").read_text("utf-8"))
+        assert cli_records() == golden
+
     def test_default_seed_is_logged(self):
         record = run_json(
             "simulate", "pair", "--n", "1", "--d", "2", "--trials", "10"
@@ -644,6 +689,33 @@ class TestExitCodesAndPlumbing:
         _, stderr = proc.communicate(timeout=120)
         assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
         assert stderr == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prob", "--n", str(2**63), "--d", "3", "--route", "recursive"],
+            ["prob", "--n", str(2**63), "--d", "1"],
+            ["expect", "--n", str(2**63), "--d", "3", "--model", "pairwise"],
+            ["expect", "--n", str(2**63), "--d", "1"],
+            ["mixture", "sizes.txt", "--d", "3"],
+            ["simulate", "pair", "--n", str(2**63), "--d", "3", "--trials", "10"],
+            ["simulate", "firstmatch", "--n", str(2**63), "--d", "3", "--trials", "10"],
+        ],
+        ids=[
+            "prob-recursive", "prob-d1", "expect-pairwise", "expect-d1", "mixture",
+            "simulate-pair", "simulate-firstmatch",
+        ],
+    )
+    def test_size_too_large_to_index_is_usage_error(self, argv, monkeypatch, tmp_path):
+        # Only n = 2**63, which fails before anything is allocated: a smaller
+        # huge n such as 10**9 would allocate before it failed.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sizes.txt").write_text(f"{2**63} 1\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

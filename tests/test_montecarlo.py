@@ -34,7 +34,6 @@ from packmatch.firstmatch import endpoint_spectrum, exact_pmf_and_expectation
 from packmatch.montecarlo import (
     _CHUNK,
     RNG_ALGORITHM,
-    FirstMatchReport,
     _generator,
     _wilson_interval,
     endpoint_histogram,
@@ -134,9 +133,8 @@ class TestPairMatchRate:
         assert abs(report.estimate - 0.5) < 5 * 0.0005  # 5 standard errors
 
     def test_ci_contains_truth_two_items_two_colors(self):
-        report = pair_match_rate(PackSpec(2, 2), 10**6, 7, analytic_reference=0.375)
+        report = pair_match_rate(PackSpec(2, 2), 10**6, 7)
         assert report.ci_low <= 0.375 <= report.ci_high
-        assert report.analytic_reference == 0.375
         standard_error = math.sqrt(0.375 * 0.625 / 10**6)
         assert abs(report.estimate - 0.375) < 5 * standard_error
 
@@ -250,7 +248,7 @@ def _color_count_keys(spec: PackSpec, rng: np.random.Generator, rows: int) -> li
     """The endpoint counts of ``n`` int64 item colors per row, keyed as 0.3.0 keyed them."""
     colors = rng.integers(0, spec.d, size=(rows, spec.n))
     counts = np.stack([(colors == c).sum(axis=1) for c in range(spec.d)], axis=1)
-    return montecarlo._endpoint_keys(counts, spec.n)
+    return montecarlo._row_keys(counts.astype(np.min_scalar_type(spec.n)))
 
 
 class TestKeySources:
@@ -441,11 +439,6 @@ class TestFirstMatchExperiment:
         assert report.histogram == {2: 10}
         assert report.ci_low == report.ci_high == 2.0
 
-    def test_analytic_reference_passthrough(self):
-        report = first_match_experiment(PackSpec(1, 2), 100, 0, analytic_reference=2.5)
-        assert report.analytic_reference == 2.5
-        assert isinstance(report, FirstMatchReport)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             first_match_experiment(PackSpec(1, 2), 0, 0)
@@ -525,7 +518,7 @@ class TestEndpointHistogram:
 
 class TestReportSerializationContract:
     def test_trial_report_fields(self):
-        report = pair_match_rate(PackSpec(1, 2), 50, 13, analytic_reference=0.5)
+        report = pair_match_rate(PackSpec(1, 2), 50, 13)
         record = dataclasses.asdict(report)
         assert record.keys() == {
             "seed",
@@ -535,7 +528,6 @@ class TestReportSerializationContract:
             "ci_low",
             "ci_high",
             "algorithm",
-            "analytic_reference",
         }
         assert isinstance(record["estimate"], float)
         assert record["algorithm"] == "PCG64"
@@ -552,9 +544,7 @@ class TestReportSerializationContract:
             "ci_high",
             "histogram",
             "algorithm",
-            "analytic_reference",
         }
-        assert record["analytic_reference"] is None
 
     def test_numpy_types_do_not_leak(self):
         report = pair_match_rate(PackSpec(2, 2), 100, 1)
