@@ -34,7 +34,7 @@ from .exactmath import (
     significant_string,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "DEFAULT_PRECISION",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -260,13 +261,10 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "model": args.model,
         "tol": repr(args.tol),
     }
-    alarm = False
-    pairwise_value = None
-    exact_value = None
+    series = law = None
     if args.model in ("pairwise", "both"):
         pair_probability = coincidence_probability(spec)
         series = pairwise_expectation(pair_probability, tol=args.tol)
-        pairwise_value = Fraction(series.value)
         record["pairwise"] = {
             "pair_probability": _fraction_record(pair_probability),
             "expectation": str(series.value),
@@ -275,23 +273,20 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         }
     if args.model in ("exact", "both"):
         law = exact_pmf_and_expectation(endpoint_spectrum(spec), tol=args.tol)
-        exact_value = Fraction(law.expectation)
+        # Exact numbers print as strings; the rest, None included, as they are.
         record["exact"] = {
-            "expectation": str(law.expectation),
-            "tail_bound": str(law.tail_bound),
-            "last_index": law.last_index,
-            "mode": law.mode,
-            "precision": law.precision,
-            "precision_alarm": law.precision_alarm,
-            "survival_error": (
-                str(law.survival_error) if law.survival_error is not None else None
-            ),
+            name: str(value) if isinstance(value, (Fraction, Decimal)) else value
+            for name in (
+                "expectation", "tail_bound", "last_index", "mode",
+                "precision", "precision_alarm", "survival_error",
+            )
+            for value in [getattr(law, name)]
         }
-        alarm = law.precision_alarm
-    if pairwise_value is not None and exact_value is not None and exact_value > 0:
-        relative = abs(pairwise_value - exact_value) / exact_value
+    if series is not None and law is not None:
+        exact = Fraction(law.expectation)
+        relative = abs(Fraction(series.value) - exact) / exact
         record["relative_difference"] = significant_string(relative, 4)
-    return record, alarm
+    return record, law is not None and law.precision_alarm
 
 
 def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
@@ -343,8 +338,6 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     # never calls BLAS, so an idle OpenBLAS worker thread only costs CPU;
     # a value the user has set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from dataclasses import asdict
-
     from . import montecarlo
 
     run = montecarlo.pair_match_rate if args.kind == "pair" else montecarlo.first_match_experiment
@@ -359,7 +352,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "trials": args.trials,
         "seed": args.seed,
         "algorithm": report.algorithm,
-        **asdict(report),
+        **report._asdict(),
         "analytic_reference": reference,
     }
     return record, alarm

@@ -18,6 +18,7 @@ route calls another, so their agreement is a check.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -34,7 +35,8 @@ class PackSpec(NamedTuple("PackSpec", [("n", int), ("d", int)])):
     A named tuple ``(n, d)``: immutable, compared and hashed by value.
 
     Raises:
-        ValueError: if ``n`` is negative or ``d`` is not positive.
+        ValueError: if ``n`` is negative or at least ``sys.maxsize``, too
+            large to index, or ``d`` is not positive.
     """
 
     __slots__ = ()
@@ -42,6 +44,10 @@ class PackSpec(NamedTuple("PackSpec", [("n", int), ("d", int)])):
     def __new__(cls, n: int, d: int) -> PackSpec:
         if n < 0:
             raise ValueError(f"pack size must be non-negative, got n={n}")
+        if n >= sys.maxsize:
+            raise ValueError(
+                f"pack size n={n} is too large to index; at most {sys.maxsize - 1}"
+            )
         if d < 1:
             raise ValueError(f"color count must be positive, got d={d}")
         return super().__new__(cls, n, d)

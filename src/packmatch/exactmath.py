@@ -105,29 +105,23 @@ def decimal_string(value: Rational, digits: int = 4) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def significant_string(value: Rational, digits: int = 4, *, rounding: str = "half-even") -> str:
+def significant_string(value: Rational, digits: int = 4) -> str:
     """Render an exact rational in scientific notation with ``digits`` significant figures.
 
-    Args:
-        value: exact rational to render.
-        digits: number of significant figures, at least 1.
-        rounding: ``"half-even"`` for correct rounding, or ``"down"`` to
-            truncate toward zero (useful when matching a display that shows
-            the leading digits of a longer expansion).
+    Rounding is round-half-to-even, computed on the exact value, so the
+    mantissa is the correctly rounded one.
 
     Raises:
-        ValueError: if ``digits < 1`` or ``rounding`` is not recognised.
+        ValueError: if ``digits < 1``.
     """
     if digits < 1:
         raise ValueError(f"significant figures must be at least 1, got {digits}")
-    if rounding not in ("half-even", "down"):
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
     value = Fraction(value)
     # One correctly rounded division at ``digits`` significant digits; 0
     # comes out as 0 with exponent 0.
     context = decimal.Context(
         prec=digits,
-        rounding=decimal.ROUND_HALF_EVEN if rounding == "half-even" else decimal.ROUND_DOWN,
+        rounding=decimal.ROUND_HALF_EVEN,
         Emax=decimal.MAX_EMAX,
         Emin=decimal.MIN_EMIN,
     )

@@ -49,8 +49,7 @@ import decimal
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -115,8 +114,7 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat)))
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     """Result of a pair-matching experiment.
 
     ``estimate`` always lies inside [ci_low, ci_high] (95% Wilson interval),
@@ -397,8 +395,7 @@ def first_match_trial(spec: PackSpec, rng: np.random.Generator) -> int:
     return _first_match_times(spec, rng, 1)[0]
 
 
-@dataclass(frozen=True)
-class FirstMatchReport:
+class FirstMatchReport(NamedTuple):
     """Result of a first-match experiment.
 
     ``histogram`` maps each observed first-match time to its frequency and

@@ -96,8 +96,8 @@ def test_criterion_02_probability_table():
 
 def test_criterion_03_headline_probability():
     """All three counting routes agree exactly at (60, 5), where the
-    probability truncates to 9.752e-05 (0.00009752); recursive < 1 s,
-    closed < 60 s."""
+    probability truncates to 9.752e-05 (0.00009752) and rounds to
+    9.753e-05; recursive < 1 s, closed < 60 s."""
     spec = PackSpec(60, 5)
 
     start = time.perf_counter()
@@ -112,7 +112,7 @@ def test_criterion_03_headline_probability():
 
     probability = Fraction(recursive, 5 ** (2 * 60))
     assert probability == coincidence_probability(spec)
-    assert significant_string(probability, 4, rounding="down") == "9.752e-05"
+    assert significant_string(probability, 4) == "9.753e-05"
     # Fixed-point truncation to eight decimal places, via integer arithmetic.
     assert probability.numerator * 10**8 // probability.denominator == 9752
 

@@ -58,6 +58,9 @@ _RECORD_COMMANDS = [
     "simulate firstmatch --n 8 --d 3 --trials 2000 --seed 9",
     "prob --n 24 --d 8 --digits 6",
     "mixture tests/golden/mixture_sizes.txt --d 4",
+    "expect --n 4 --d 3",
+    "expect --n 40 --d 4 --model exact",
+    "expect --n 0 --d 3",
 ]
 
 
@@ -695,6 +698,8 @@ class TestExitCodesAndPlumbing:
         [
             ["prob", "--n", str(2**63), "--d", "3", "--route", "recursive"],
             ["prob", "--n", str(2**63), "--d", "1"],
+            ["prob", "--n", str(2**63), "--d", "3", "--route", "gf"],
+            ["prob", "--n", str(2**63), "--d", "1", "--route", "closed"],
             ["expect", "--n", str(2**63), "--d", "3", "--model", "pairwise"],
             ["expect", "--n", str(2**63), "--d", "1"],
             ["mixture", "sizes.txt", "--d", "3"],
@@ -702,8 +707,8 @@ class TestExitCodesAndPlumbing:
             ["simulate", "firstmatch", "--n", str(2**63), "--d", "3", "--trials", "10"],
         ],
         ids=[
-            "prob-recursive", "prob-d1", "expect-pairwise", "expect-d1", "mixture",
-            "simulate-pair", "simulate-firstmatch",
+            "prob-recursive", "prob-d1", "prob-gf", "prob-d1-closed", "expect-pairwise",
+            "expect-d1", "mixture", "simulate-pair", "simulate-firstmatch",
         ],
     )
     def test_size_too_large_to_index_is_usage_error(self, argv, monkeypatch, tmp_path):
@@ -715,7 +720,9 @@ class TestExitCodesAndPlumbing:
         code, out, err = run_cli(*argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err == (
+            f"error: pack size n={2**63} is too large to index; at most {sys.maxsize - 1}\n"
+        )
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -807,8 +814,10 @@ class TestSubprocessDeterminism:
              {"numpy", "dataclasses"}),
             (["mixture", str(sizes), "--d", "3"], {"packmatch.firstmatch"},
              {"numpy", "dataclasses"}),
-            (["simulate", "pair", "--n", "2", "--d", "2", "--trials", "10"], set(),
-             {"packmatch.firstmatch"}),
+            (["simulate", "pair", "--n", "2", "--d", "2", "--trials", "10"], {"numpy"},
+             {"packmatch.firstmatch", "dataclasses"}),
+            (["simulate", "firstmatch", "--n", "2", "--d", "2", "--trials", "10"],
+             {"numpy", "packmatch.firstmatch"}, {"dataclasses"}),
         ]
         for argv, present, absent in table:
             result = subprocess.run(

@@ -162,16 +162,10 @@ class TestSignificantString:
         assert significant_string(Fraction(0), 4) == "0.000e+00"
         assert significant_string(Fraction(1, 3), 1) == "3e-01"
 
-    def test_truncating_mode(self):
-        assert significant_string(Fraction(2, 3), 4, rounding="down") == "6.666e-01"
-        assert significant_string(Fraction(1, 3), 4, rounding="down") == "3.333e-01"
-
     def test_carry_into_new_leading_digit(self):
-        # 0.99995 rounds (half-even on the odd mantissa 9999) up to 1.000e+00,
-        # while truncation keeps 9.999e-01.
+        # 0.99995 rounds (half-even on the odd mantissa 9999) up to 1.000e+00.
         value = Fraction(99995, 100000)
         assert significant_string(value, 4) == "1.000e+00"
-        assert significant_string(value, 4, rounding="down") == "9.999e-01"
 
     def test_value_beyond_the_int_string_limit(self):
         # C(16000, 8000) / 4**8000 has 4813-digit terms, above CPython's
@@ -183,15 +177,12 @@ class TestSignificantString:
         sys.set_int_max_str_digits(4300)
         try:
             assert significant_string(value, 11) == "6.3077327460e-03"
-            assert significant_string(value, 11, rounding="down") == "6.3077327459e-03"
         finally:
             sys.set_int_max_str_digits(previous)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             significant_string(Fraction(1, 3), 0)
-        with pytest.raises(ValueError):
-            significant_string(Fraction(1, 3), 4, rounding="floor")
 
     @given(
         st.fractions(min_value=Fraction(1, 10**9), max_value=10**9),

@@ -10,7 +10,6 @@ test is deterministic anyway (fixed seeds):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -163,10 +162,10 @@ class TestPairMatchRate:
             report = pair_match_rate(PackSpec(3, 3), 400, seed)
             assert report.ci_low <= report.estimate <= report.ci_high
 
-    def test_report_is_frozen_dataclass(self):
+    def test_report_is_immutable_tuple(self):
         report = pair_match_rate(PackSpec(1, 2), 10, 0)
-        assert dataclasses.is_dataclass(report)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert isinstance(report, tuple)
+        with pytest.raises(AttributeError):
             report.estimate = 0.0  # type: ignore[misc]
 
     def test_coverage_calibration(self):
@@ -439,6 +438,17 @@ class TestFirstMatchExperiment:
         assert report.histogram == {2: 10}
         assert report.ci_low == report.ci_high == 2.0
 
+    def test_single_trial(self):
+        # One trial has no sample variance: the standard error is 0, not a
+        # difference of rounded squares.
+        spec = PackSpec(8, 3)
+        report = first_match_experiment(spec, 1, 9)
+        time = first_match_trial(spec, _generator(9, 0))
+        assert report.mean == time
+        assert report.std_error == 0.0
+        assert report.ci_low == report.ci_high == report.mean
+        assert report.histogram == {time: 1}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             first_match_experiment(PackSpec(1, 2), 0, 0)
@@ -519,7 +529,7 @@ class TestEndpointHistogram:
 class TestReportSerializationContract:
     def test_trial_report_fields(self):
         report = pair_match_rate(PackSpec(1, 2), 50, 13)
-        record = dataclasses.asdict(report)
+        record = report._asdict()
         assert record.keys() == {
             "seed",
             "trials",
@@ -534,7 +544,7 @@ class TestReportSerializationContract:
 
     def test_first_match_report_fields(self):
         report = first_match_experiment(PackSpec(1, 2), 50, 13)
-        record = dataclasses.asdict(report)
+        record = report._asdict()
         assert record.keys() == {
             "seed",
             "trials",
