@@ -39,14 +39,14 @@ import decimal
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .coincidence import (
     ENDPOINT_CEILING,
     PackSpec,
+    _match_counts,
     distinct_pack_count,
     partition_classes,
-    recursive_columns,
 )
 from .exactmath import DEFAULT_PRECISION, DEFAULT_TOLERANCE, significant_string
 
@@ -195,21 +195,6 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
                 raise ValueError(f"pairwise expectation did not converge within {cap} terms")
 
 
-def _endpoint_classes(spec: PackSpec) -> list[tuple[int, int]]:
-    """Group endpoints by their multinomial weight.
-
-    Returns (weight, multiplicity) pairs sorted by descending weight, where
-    multiplicity counts the endpoints sharing that weight. The partition
-    classes come from :func:`~packmatch.coincidence.partition_classes`;
-    classes with coinciding weights are merged. The multiplicities sum to
-    C(n + d - 1, d - 1).
-    """
-    merged: dict[int, int] = {}
-    for weight, size in partition_classes(spec):
-        merged[weight] = merged.get(weight, 0) + size
-    return sorted(merged.items(), key=lambda item: item[0], reverse=True)
-
-
 def _newton_sum(
     values: list[Number],
     sums: list[Number],
@@ -238,14 +223,17 @@ def _newton_sum(
 
 
 class EndpointSpectrum:
-    """Endpoint probabilities of a pack shape, aggregated for the exact oracle.
+    """Endpoint classes over one denominator, aggregated for the exact oracle.
 
-    Holds one entry per distinct probability value together with its
-    multiplicity, and grows three aligned sequences: the power sums S_j, the
-    signed elementary values (-1)**k * e_k, and the survival probabilities
-    P[X > m] = m! * e_m. :meth:`power_sum`, :meth:`survival` and
-    :meth:`survival_error` grow them up to the index asked for, in any order.
-    Construct through :func:`endpoint_spectrum`.
+    A (weight, multiplicity) pair holds ``multiplicity`` endpoints of
+    probability ``weight / denominator``; equal weights merge, and classes
+    sort by descending weight. ValueError refuses an entry that is not two
+    positive integers, a sum of m * w other than the denominator, and more
+    endpoints than ``ENDPOINT_CEILING``, the most the pruning slack below is
+    proved for. Grows the power sums S_j, the signed elementary values
+    (-1)**k * e_k and the survivals P[X > m] = m! * e_m up to the index
+    :meth:`power_sum`, :meth:`survival` or :meth:`survival_error` asks for,
+    in any order. Construct through :func:`endpoint_spectrum` for a shape.
 
     Both modes run Newton's identities on signed values: with
     E_k = (-1)**k * e_k, each step is k * E_k = -sum_i E_{k-i} * S_i over the
@@ -268,7 +256,7 @@ class EndpointSpectrum:
     A_s.
 
     Two arithmetic modes exist. ``"rational"`` is exact: the endpoint
-    probabilities are w / D with integer weights w and D = d**n, so it keeps
+    probabilities are w / D with integer weights w and the denominator D, so it keeps
     the integer power sums P_j = sum w**j and runs the recurrence on the
     integers (-1)**k * D**k * e_k, dividing exactly by k; a survival is the
     one Fraction k! * e_k. ``"decimal"`` works at a fixed number of
@@ -336,14 +324,30 @@ class EndpointSpectrum:
     Instances are not thread-safe; share them only with external locking.
     """
 
-    def __init__(self, spec: PackSpec, mode: str, precision: int | None) -> None:
+    def __init__(
+        self, classes: Iterable[tuple[int, int]], denominator: int,
+        mode: str, precision: int | None,
+    ) -> None:
         if mode not in ("rational", "decimal"):
             raise ValueError(f"unknown spectrum mode: {mode!r}")
-        self.spec = spec
+        if mode == "decimal":
+            precision = DEFAULT_PRECISION if precision is None else precision
+            if precision < 4:
+                raise ValueError(f"decimal precision must be at least 4, got {precision}")
+        merged: dict[int, int] = {}
+        for weight, size in classes:
+            if not (type(weight) is type(size) is int and weight > 0 and size > 0):
+                raise ValueError(f"class ({weight!r}, {size!r}) is not two positive integers")
+            merged[weight] = merged.get(weight, 0) + size
+        classes = sorted(merged.items(), reverse=True)
         self.mode = mode
-        self.num_endpoints = distinct_pack_count(spec)
-        classes = _endpoint_classes(spec)
+        count = self.num_endpoints = sum(merged.values())
+        if count > ENDPOINT_CEILING:
+            raise ValueError(f"{count} class endpoints, above the ceiling {ENDPOINT_CEILING}")
+        if sum(m * w for w, m in classes) != denominator:
+            raise ValueError(f"class weights times multiplicities do not sum to {denominator}")
         self.num_classes = len(classes)
+        self._den = denominator
         # Power sums (P_j in rational mode, S_j in decimal mode), the signed
         # elementary values, and the survivals by pack count from m = 0.
         self._power_sums: list[Number] = []
@@ -361,23 +365,16 @@ class EndpointSpectrum:
         self._inject: list[Number] = []
 
         if mode == "rational":
-            self._den = spec.d**spec.n
-            if sum(m * w for w, m in classes) != self._den:
-                raise AssertionError(f"endpoint probabilities for {spec} do not sum to 1")
             self._ctx = decimal.Context()  # exact arithmetic ignores it
             self._base: list[Number] = [w for w, _ in classes]
             self._mults: list[Number] = [m for _, m in classes]
             self._fact: Number = Fraction(1)
             self._surv: list[Number] = [Fraction(1)] * 2
         else:
-            if precision is None:
-                precision = DEFAULT_PRECISION
-            if precision < 4:
-                raise ValueError(f"decimal precision must be at least 4, got {precision}")
             self.precision = precision
             self._ctx = decimal.Context(prec=precision, Emax=10**9, Emin=-(10**9))
             with decimal.localcontext(self._ctx):
-                den = Decimal(spec.d**spec.n)
+                den = Decimal(denominator)
                 self._base = [Decimal(w) / den for w, _ in classes]
                 self._mults = [Decimal(m) for _, m in classes]
                 self._ulp = Decimal(10) ** (1 - precision)
@@ -485,7 +482,7 @@ class EndpointSpectrum:
                 if self.mode == "rational":
                     signed, remainder = divmod(total, k)
                     if remainder:
-                        raise AssertionError(f"Newton step {k} for {self.spec} is not an integer")
+                        raise AssertionError(f"Newton step {k} is not an integer")
                     self._fact *= Fraction(k, self._den)  # k! / D**k
                 else:
                     signed = total / k
@@ -559,7 +556,7 @@ class EndpointSpectrum:
 def endpoint_spectrum(
     spec: PackSpec, *, mode: str | None = None, precision: int | None = None
 ) -> EndpointSpectrum:
-    """Build the endpoint spectrum of ``spec``; power sums grow on demand.
+    """The spectrum of ``spec``'s partition classes over d**n; power sums grow on demand.
 
     Args:
         spec: pack shape.
@@ -585,7 +582,7 @@ def endpoint_spectrum(
             mode = "decimal"
     elif mode == "rational" and precision is not None:
         raise ValueError("precision applies to decimal mode only")
-    return EndpointSpectrum(spec, mode, precision)
+    return EndpointSpectrum(partition_classes(spec), spec.d**spec.n, mode, precision)
 
 
 class FirstMatchLaw(NamedTuple):
@@ -593,14 +590,11 @@ class FirstMatchLaw(NamedTuple):
 
     ``pmf[l]`` is P[X = l] for l = 2..last_index; ``expectation`` is E[X]
     including the tail bound's worth of slack at most; ``tail_bound`` bounds
-    the probability-weighted mass ignored past ``last_index``. ``model`` is
-    ``"exact-oracle"`` here (the pairwise closed form reports through
-    :class:`SeriesExpectation` instead). In decimal mode ``survival_error``
-    carries the largest tracked error bound and ``precision_alarm`` mirrors
-    the spectrum's sticky flag.
+    the probability-weighted mass ignored past ``last_index``. In decimal
+    mode ``survival_error`` carries the largest tracked error bound and
+    ``precision_alarm`` mirrors the spectrum's sticky flag.
     """
 
-    model: str
     mode: str
     pmf: dict[int, Number]
     expectation: Number
@@ -659,7 +653,6 @@ def exact_pmf_and_expectation(
             previous = survival
             m += 1
     return FirstMatchLaw(
-        model="exact-oracle",
         mode=spectrum.mode,
         pmf=pmf,
         expectation=expectation,
@@ -803,15 +796,14 @@ def mixture_match_probability(distribution: PackSizeDistribution, d: int) -> Fra
     Both packs draw a size independently from the distribution, then fill
     with ``d`` colors; matching requires equal sizes and equal contents, so
     the answer is sum over sizes of weight(n)^2 * match probability at n,
-    every count read from one :func:`recursive_columns` pass to the largest.
+    every count read from one list of counts up to the largest size.
 
     Raises:
         ValueError: if ``d`` is not positive.
     """
     if d < 1:
         raise ValueError(f"color count must be positive, got {d}")
-    for counts in recursive_columns(max(distribution.sizes()), d):
-        pass
+    counts = _match_counts(max(distribution.sizes()), d)
     total = Fraction(0)
     for size, weight in distribution.weights:
         total += weight * weight * Fraction(counts[size], d ** (2 * size))

@@ -354,6 +354,20 @@ class TestExpect:
             assert result.stdout == b""
             assert b"more than 5000000 terms" in result.stderr
 
+    def test_huge_color_count_never_runs_the_recursion(self, monkeypatch):
+        # The recursion would build 10**20 color columns; the GF route gives
+        # p = 1/d at once, and the series refuses up front.
+        def refuse(*_args):
+            raise AssertionError("the color recursion ran")
+
+        monkeypatch.setattr("packmatch.coincidence.recursive_columns", refuse)
+        code, out, err = run_cli(
+            "expect", "--n", "1", "--d", str(10**20), "--model", "pairwise"
+        )
+        assert code == 2
+        assert out == ""
+        assert "more than 5000000 terms at pair probability 1e-20" in err
+
     def test_digits_option_rejected(self):
         # Nothing in expect or simulate output is rendered to --digits.
         for argv in (
@@ -373,7 +387,6 @@ class TestExpect:
 
     def test_precision_alarm_exit_code(self, monkeypatch):
         fake = FirstMatchLaw(
-            model="exact-oracle",
             mode="decimal",
             pmf={2: Decimal("0.5")},
             expectation=Decimal("2.5"),
@@ -546,7 +559,6 @@ class TestSimulate:
 
     def test_firstmatch_precision_alarm_exit_code(self, monkeypatch):
         fake = FirstMatchLaw(
-            model="exact-oracle",
             mode="decimal",
             pmf={2: Decimal("0.5")},
             expectation=Decimal("2.5"),

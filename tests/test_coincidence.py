@@ -306,6 +306,24 @@ class TestCoincidenceTable:
         column = list(recursive_columns(300, 2))[-1]
         assert column == [math.comb(2 * n, n) for n in range(301)]
 
+    def test_match_counts_switch_routes_past_three_colors(self, monkeypatch):
+        # count(n, d) for n = 0..max_n: the recursion's last column up to
+        # d = 3, the GF list past it; the integers are the same.
+        for max_n in range(6):
+            for d in range(1, 9):
+                expected = list(recursive_columns(max_n, d))[-1]
+                assert coincidence._match_counts(max_n, d) == expected, (max_n, d)
+
+        def refuse(*_args):
+            raise AssertionError("the color recursion ran")
+
+        monkeypatch.setattr(coincidence, "recursive_columns", refuse)
+        assert coincidence_probability(PackSpec(1, 10**20)) == Fraction(1, 10**20)
+        for n, d in [(8, 9), (60, 4)]:
+            assert coincidence_probability(PackSpec(n, d)) == Fraction(
+                count_closed(PackSpec(n, d)), d ** (2 * n)
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             list(recursive_columns(-1, 2))

@@ -16,6 +16,7 @@ import pytest
 
 from packmatch import coincidence, firstmatch
 from packmatch.coincidence import (
+    ENDPOINT_CEILING,
     PackSpec,
     coincidence_probability,
     compositions,
@@ -30,6 +31,7 @@ from packmatch.firstmatch import (
     EXACT_ENDPOINT_LIMIT,
     PAIRWISE_PRECISION,
     _PAIRWISE_MAX_TERMS,
+    EndpointSpectrum,
     FirstMatchLaw,
     PackSizeDistribution,
     SeriesExpectation,
@@ -512,6 +514,64 @@ class TestExactSurvival:
         assert spectrum.survival_error(3) == error
 
 
+class TestClassLists:
+    """The oracle on class lists that no pack shape produces."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 23, 365])
+    def test_birthday_problem(self, size):
+        # K equally likely endpoints: P[X > m] = K! / ((K - m)! * K**m).
+        rational = EndpointSpectrum([(1, size)], size, "rational", None)
+        approx = EndpointSpectrum([(1, size)], size, "decimal", 40)
+        assert rational.num_endpoints == approx.num_endpoints == size
+        assert rational.num_classes == 1
+        for m in range(size + 3):
+            expected = Fraction(math.perm(size, m) if m <= size else 0, size**m)
+            assert rational.survival(m) == expected, m
+            gap = abs(Fraction(approx.survival(m)) - expected)
+            assert gap <= Fraction(approx.survival_error(m)), m
+
+    def test_decimal_past_the_split_agrees_with_rational(self):
+        # Three weights split the Newton sum at s = 6 (2 * 3 <= 6); the
+        # survivals are compared over the whole support of 35 endpoints.
+        classes = [(3, 5), (2, 10), (1, 20)]
+        exact = EndpointSpectrum(classes, 55, "rational", None)
+        approx = EndpointSpectrum(classes, 55, "decimal", 30)
+        for m in range(exact.num_endpoints + 3):
+            gap = abs(Fraction(approx.survival(m)) - exact.survival(m))
+            assert gap <= Fraction(approx.survival_error(m)), m
+        assert exact.survival(exact.num_endpoints) > 0
+        assert (exact.split_index, exact.tail_classes) == (6, 3)
+        assert approx.split_index is not None
+        law = exact_pmf_and_expectation(exact)
+        assert 1 - sum(law.pmf.values()) == exact.survival(law.last_index) <= 1e-12
+
+    def test_unmerged_unsorted_input_gives_the_merged_law(self):
+        merged = [(3, 2), (2, 3), (1, 4)]
+        shuffled = [(1, 1), (2, 2), (3, 1), (1, 3), (3, 1), (2, 1)]
+        for mode, precision in [("rational", None), ("decimal", 20)]:
+            left = EndpointSpectrum(merged, 16, mode, precision)
+            right = EndpointSpectrum(iter(shuffled), 16, mode, precision)
+            assert right.num_classes == left.num_classes == 3
+            assert right.num_endpoints == left.num_endpoints == 9
+            assert exact_pmf_and_expectation(right) == exact_pmf_and_expectation(left)
+
+    @pytest.mark.parametrize("mode, precision", [("rational", None), ("decimal", 20)])
+    def test_refusals(self, mode, precision):
+        for classes, denominator, message in [
+            ([(1, 3)], 4, "do not sum to 4"),
+            ([(2, 1), (1, 1)], 2, "do not sum to 2"),
+            ([(0, 3), (1, 2)], 2, r"class \(0, 3\) is not two positive integers"),
+            ([(1, -1), (1, 3)], 2, r"class \(1, -1\) is not two positive integers"),
+            ([(Fraction(1, 2), 2)], 1, "is not two positive integers"),
+            ([(True, True)], 1, r"class \(True, True\) is not two positive integers"),
+            ([(1, ENDPOINT_CEILING + 1)], ENDPOINT_CEILING + 1, "above the ceiling"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                EndpointSpectrum(classes, denominator, mode, precision)
+        with pytest.raises(ValueError, match="unknown spectrum mode"):
+            EndpointSpectrum([(1, 1)], 1, "float", None)
+
+
 class TestPrecisionAlarm:
     def test_trips_at_low_precision(self):
         spectrum = endpoint_spectrum(PackSpec(8, 3), mode="decimal", precision=6)
@@ -535,7 +595,6 @@ class TestPrecisionAlarm:
 class TestExactLaw:
     def test_one_item_three_colors(self):
         law = exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 3)))
-        assert law.model == "exact-oracle"
         assert law.mode == "rational"
         assert law.pmf == {2: Fraction(1, 3), 3: Fraction(4, 9), 4: Fraction(2, 9)}
         assert law.expectation == Fraction(26, 9)
@@ -588,9 +647,9 @@ class TestExactLaw:
         assert repr(law) == repr(reference)
 
     def test_law_value_semantics(self):
-        # Expected strings captured from the frozen-dataclass version.
+        # Expected strings captured from the frozen-dataclass version, less
+        # its constant ``model`` field.
         law = FirstMatchLaw(
-            model="exact-oracle",
             mode="rational",
             pmf={2: Fraction(1, 2), 3: Fraction(1, 2)},
             expectation=Fraction(5, 2),
@@ -598,7 +657,7 @@ class TestExactLaw:
             last_index=3,
         )
         assert repr(law) == (
-            "FirstMatchLaw(model='exact-oracle', mode='rational', "
+            "FirstMatchLaw(mode='rational', "
             "pmf={2: Fraction(1, 2), 3: Fraction(1, 2)}, expectation=Fraction(5, 2), "
             "tail_bound=Fraction(0, 1), last_index=3, precision=None, "
             "precision_alarm=False, survival_error=None)"
@@ -606,11 +665,10 @@ class TestExactLaw:
         assert (law.precision, law.precision_alarm, law.survival_error) == (None, False, None)
         assert law == exact_pmf_and_expectation(endpoint_spectrum(PackSpec(1, 2)))
         assert law == FirstMatchLaw(
-            "exact-oracle", "rational", dict(law.pmf), Fraction(5, 2), Fraction(0), 3,
-            None, False, None,
+            "rational", dict(law.pmf), Fraction(5, 2), Fraction(0), 3, None, False, None
         )
         assert law != FirstMatchLaw(
-            "exact-oracle", "rational", law.pmf, Fraction(5, 2), Fraction(0), 3, precision=8
+            "rational", law.pmf, Fraction(5, 2), Fraction(0), 3, precision=8
         )
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(law)
@@ -764,8 +822,9 @@ class TestMixtureMatchProbability:
             mixture_match_probability(dist, 0)
 
     def test_builds_one_grid_for_all_sizes(self, monkeypatch):
-        # Sizes 1..300 at d = 2 read their counts from one recursive_columns
-        # pass; no size is counted on its own.
+        # Sizes 1..300 at d = 2 read their counts from one list up to the
+        # largest size, the last column of one recursion pass; no size is
+        # counted on its own.
         def refuse(*args):
             raise AssertionError("a size was counted on its own")
 
@@ -773,15 +832,40 @@ class TestMixtureMatchProbability:
 
         def counted(max_n, max_d):
             calls.append((max_n, max_d))
-            return coincidence.recursive_columns(max_n, max_d)
+            return coincidence._match_counts(max_n, max_d)
 
-        monkeypatch.setattr(firstmatch, "recursive_columns", counted)
+        columns = []
+        build = coincidence.recursive_columns
+
+        def recorded(max_n, max_d):
+            columns.append((max_n, max_d))
+            return build(max_n, max_d)
+
+        monkeypatch.setattr(firstmatch, "_match_counts", counted)
+        monkeypatch.setattr(coincidence, "recursive_columns", recorded)
         monkeypatch.setattr(coincidence, "coincidence_probability", refuse)
         monkeypatch.setattr(coincidence, "count_recursive", refuse)
         dist = PackSizeDistribution.from_pairs([(n, Fraction(1, 300)) for n in range(1, 301)])
         value = mixture_match_probability(dist, 2)
-        assert calls == [(300, 2)]
+        assert calls == columns == [(300, 2)]
         assert value == sum(two_color_probability(n) for n in range(1, 301)) / 300**2
+
+    def test_huge_color_count_reads_the_gf_list(self, monkeypatch):
+        # The recursion would build 10**20 columns; past d = 3 the GF route
+        # answers, with the same integers.
+        def refuse(*args):
+            raise AssertionError("the recursion ran")
+
+        monkeypatch.setattr(coincidence, "recursive_columns", refuse)
+        dist = PackSizeDistribution.from_pairs([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
+        # Squared multinomials over the partition classes: (2), (1, 1) for
+        # two items and (3), (2, 1), (1, 1, 1) for three.
+        d = 10**20
+        two = d + 4 * d * (d - 1) // 2
+        three = d + 9 * d * (d - 1) + 36 * d * (d - 1) * (d - 2) // 6
+        assert mixture_match_probability(dist, d) == (
+            Fraction(two, d**4) + Fraction(three, d**6)
+        ) / 4
 
     def test_mixture_never_exceeds_max_component(self):
         dist = PackSizeDistribution.from_pairs(
