@@ -12,66 +12,51 @@ of the above.
 import importlib.util
 import sys
 
-from .coincidence import (
-    PackSpec,
-    coincidence_probability,
-    compositions,
-    count_closed,
-    count_gf,
-    count_recursive,
-    distinct_pack_count,
-    endpoint_probability,
-    recursive_columns,
-    two_color_probability,
-)
-from .exactmath import (
-    DEFAULT_PRECISION,
-    DEFAULT_TOLERANCE,
-    binomial,
-    decimal_string,
-    factorial,
-    multinomial,
-    significant_string,
-)
+from . import coincidence, exactmath
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
-__all__ = [
-    "DEFAULT_PRECISION",
-    "DEFAULT_TOLERANCE",
-    "EndpointSpectrum",
-    "FirstMatchLaw",
-    "FirstMatchReport",
-    "PackSizeDistribution",
-    "PackSpec",
-    "RNG_ALGORITHM",
-    "SeriesExpectation",
-    "TrialReport",
-    "binomial",
-    "coincidence_probability",
-    "compositions",
-    "count_closed",
-    "count_gf",
-    "count_recursive",
-    "decimal_string",
-    "distinct_pack_count",
-    "endpoint_histogram",
-    "endpoint_probability",
-    "endpoint_spectrum",
-    "exact_pmf_and_expectation",
-    "factorial",
-    "first_match_experiment",
-    "first_match_trial",
-    "mixture_match_probability",
-    "multinomial",
-    "pair_match_rate",
-    "pairwise_expectation",
-    "pairwise_pmf",
-    "recursive_columns",
-    "significant_string",
-    "two_color_probability",
-    "__version__",
-]
+# Each exported name and the module that defines it. __getattr__ below serves
+# every name from its module on first access: coincidence and exactmath are
+# loaded by the import above, firstmatch runs then, and montecarlo, which
+# loads numpy, is imported then.
+_EXPORTS = {
+    "DEFAULT_PRECISION": "exactmath",
+    "DEFAULT_TOLERANCE": "exactmath",
+    "EndpointSpectrum": "firstmatch",
+    "FirstMatchLaw": "firstmatch",
+    "FirstMatchReport": "montecarlo",
+    "PackSizeDistribution": "firstmatch",
+    "PackSpec": "coincidence",
+    "RNG_ALGORITHM": "montecarlo",
+    "SeriesExpectation": "firstmatch",
+    "TrialReport": "montecarlo",
+    "binomial": "exactmath",
+    "coincidence_probability": "coincidence",
+    "compositions": "coincidence",
+    "count_closed": "coincidence",
+    "count_gf": "coincidence",
+    "count_recursive": "coincidence",
+    "decimal_string": "exactmath",
+    "distinct_pack_count": "coincidence",
+    "endpoint_histogram": "montecarlo",
+    "endpoint_probability": "coincidence",
+    "endpoint_spectrum": "firstmatch",
+    "exact_pmf_and_expectation": "firstmatch",
+    "factorial": "exactmath",
+    "first_match_experiment": "montecarlo",
+    "first_match_trial": "montecarlo",
+    "mixture_match_probability": "firstmatch",
+    "multinomial": "exactmath",
+    "pair_match_rate": "montecarlo",
+    "pairwise_expectation": "firstmatch",
+    "pairwise_pmf": "firstmatch",
+    "recursive_columns": "coincidence",
+    "significant_string": "exactmath",
+    "two_color_probability": "coincidence",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
 
 # The first-match module is the largest, and the counting commands never run
 # it. It is registered in sys.modules now, where tools that wrap its functions
@@ -83,30 +68,9 @@ firstmatch = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = firstmatch
 _spec.loader.exec_module(firstmatch)
 
-# Served on first access, from the module named here, so that importing the
-# package runs neither module; montecarlo loads numpy.
-_LAZY_NAMES = {
-    "EndpointSpectrum": "firstmatch",
-    "FirstMatchLaw": "firstmatch",
-    "PackSizeDistribution": "firstmatch",
-    "SeriesExpectation": "firstmatch",
-    "endpoint_spectrum": "firstmatch",
-    "exact_pmf_and_expectation": "firstmatch",
-    "mixture_match_probability": "firstmatch",
-    "pairwise_expectation": "firstmatch",
-    "pairwise_pmf": "firstmatch",
-    "RNG_ALGORITHM": "montecarlo",
-    "FirstMatchReport": "montecarlo",
-    "TrialReport": "montecarlo",
-    "endpoint_histogram": "montecarlo",
-    "first_match_experiment": "montecarlo",
-    "first_match_trial": "montecarlo",
-    "pair_match_rate": "montecarlo",
-}
-
 
 def __getattr__(name: str) -> object:
-    if name in _LAZY_NAMES:
-        module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+    if name in _EXPORTS:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
         return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,10 +12,10 @@ Subcommands:
 * ``simulate``: seeded Monte Carlo estimates with confidence intervals.
 
 Exit codes: 0 success; 2 usage or validation error (bad arguments, malformed
-distribution file, a size too large to index); 3 precision alarm from the
-decimal-mode oracle; 4 internal invariant breach (for example the counting
-routes disagreeing); 141 stdout closed before the output was written (a
-reader such as ``head`` quit).
+distribution file, a size too large to index or to hold in memory); 3
+precision alarm from the decimal-mode oracle; 4 internal invariant breach
+(for example the counting routes disagreeing); 141 stdout closed before the
+output was written (a reader such as ``head`` quit).
 
 Output formats: ``plain`` (human readable), ``csv``, and ``json``. JSON
 renders exact rationals as numerator/denominator digit strings so no
@@ -435,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         record, alarm = args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: this input is too large to hold in memory", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -323,8 +323,8 @@ def two_color_probability(n: int) -> Fraction:
     """Match probability for two colors in closed form: C(2n, n) / 4 ** n.
 
     Raises:
-        ValueError: if ``n`` is negative.
+        ValueError: if ``n`` is negative or too large to index (see
+            :class:`PackSpec`).
     """
-    if n < 0:
-        raise ValueError(f"pack size must be non-negative, got n={n}")
+    PackSpec(n, 2)  # validates n
     return Fraction(binomial(2 * n, n), 4**n)

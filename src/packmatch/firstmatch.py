@@ -233,7 +233,15 @@ class EndpointSpectrum:
     proved for. Grows the power sums S_j, the signed elementary values
     (-1)**k * e_k and the survivals P[X > m] = m! * e_m up to the index
     :meth:`power_sum`, :meth:`survival` or :meth:`survival_error` asks for,
-    in any order. Construct through :func:`endpoint_spectrum` for a shape.
+    in any order. :func:`endpoint_spectrum` builds one for a pack shape.
+
+    The mode rule. ``mode`` None picks ``"rational"`` when the merged list
+    holds at most ``EXACT_ENDPOINT_LIMIT`` (10**4) endpoints and
+    ``"decimal"`` otherwise. ``precision``, at least 4, sets decimal mode's
+    significant digits (default ``DEFAULT_PRECISION``, 128); it is refused
+    with an explicit ``"rational"`` and ignored where the default picks
+    rational. The mode and precision are checked before the classes are
+    read.
 
     Both modes run Newton's identities on signed values: with
     E_k = (-1)**k * e_k, each step is k * E_k = -sum_i E_{k-i} * S_i over the
@@ -326,12 +334,13 @@ class EndpointSpectrum:
 
     def __init__(
         self, classes: Iterable[tuple[int, int]], denominator: int,
-        mode: str, precision: int | None,
+        mode: str | None = None, precision: int | None = None,
     ) -> None:
-        if mode not in ("rational", "decimal"):
+        if mode not in (None, "rational", "decimal"):
             raise ValueError(f"unknown spectrum mode: {mode!r}")
-        if mode == "decimal":
-            precision = DEFAULT_PRECISION if precision is None else precision
+        if precision is not None:
+            if mode == "rational":
+                raise ValueError("precision applies to decimal mode only")
             if precision < 4:
                 raise ValueError(f"decimal precision must be at least 4, got {precision}")
         merged: dict[int, int] = {}
@@ -340,12 +349,14 @@ class EndpointSpectrum:
                 raise ValueError(f"class ({weight!r}, {size!r}) is not two positive integers")
             merged[weight] = merged.get(weight, 0) + size
         classes = sorted(merged.items(), reverse=True)
-        self.mode = mode
         count = self.num_endpoints = sum(merged.values())
         if count > ENDPOINT_CEILING:
             raise ValueError(f"{count} class endpoints, above the ceiling {ENDPOINT_CEILING}")
         if sum(m * w for w, m in classes) != denominator:
             raise ValueError(f"class weights times multiplicities do not sum to {denominator}")
+        if mode is None:
+            mode = "rational" if count <= EXACT_ENDPOINT_LIMIT else "decimal"
+        self.mode = mode
         self.num_classes = len(classes)
         self._den = denominator
         # Power sums (P_j in rational mode, S_j in decimal mode), the signed
@@ -371,7 +382,7 @@ class EndpointSpectrum:
             self._fact: Number = Fraction(1)
             self._surv: list[Number] = [Fraction(1)] * 2
         else:
-            self.precision = precision
+            self.precision = precision = DEFAULT_PRECISION if precision is None else precision
             self._ctx = decimal.Context(prec=precision, Emax=10**9, Emin=-(10**9))
             with decimal.localcontext(self._ctx):
                 den = Decimal(denominator)
@@ -553,36 +564,22 @@ class EndpointSpectrum:
         return self._surv_err[m]
 
 
-def endpoint_spectrum(
-    spec: PackSpec, *, mode: str | None = None, precision: int | None = None
-) -> EndpointSpectrum:
-    """The spectrum of ``spec``'s partition classes over d**n; power sums grow on demand.
+def endpoint_spectrum(spec: PackSpec, *, precision: int | None = None) -> EndpointSpectrum:
+    """The spectrum of ``spec``'s partition classes over d**n, in the default mode.
 
-    Args:
-        spec: pack shape.
-        mode: force ``"rational"`` or ``"decimal"``; by default rational is
-            chosen when the endpoint count is at most ``EXACT_ENDPOINT_LIMIT``
-            (10**4), decimal otherwise.
-        precision: significant digits for decimal mode (default 128);
-            ignored where the default mode picks rational.
+    ``precision`` is read where that mode is decimal (see
+    :class:`EndpointSpectrum`). A shape with more than ``ENDPOINT_CEILING``
+    (10**7) endpoints is refused before its classes are walked.
 
     Raises:
-        ValueError: on invalid arguments, or when the endpoint count exceeds
-            ``ENDPOINT_CEILING`` (10**7), a resource guard.
+        ValueError: on invalid arguments, or above the endpoint ceiling.
     """
     count = distinct_pack_count(spec)
     if count > ENDPOINT_CEILING:
         raise ValueError(
             f"{spec} has {count} distinct endpoints, above the ceiling {ENDPOINT_CEILING}"
         )
-    if mode is None:
-        if count <= EXACT_ENDPOINT_LIMIT:
-            mode, precision = "rational", None
-        else:
-            mode = "decimal"
-    elif mode == "rational" and precision is not None:
-        raise ValueError("precision applies to decimal mode only")
-    return EndpointSpectrum(partition_classes(spec), spec.d**spec.n, mode, precision)
+    return EndpointSpectrum(partition_classes(spec), spec.d**spec.n, precision=precision)
 
 
 class FirstMatchLaw(NamedTuple):
@@ -799,11 +796,11 @@ def mixture_match_probability(distribution: PackSizeDistribution, d: int) -> Fra
     every count read from one list of counts up to the largest size.
 
     Raises:
-        ValueError: if ``d`` is not positive.
+        ValueError: if ``d`` is not positive, or the largest size is too
+            large to index (see :class:`PackSpec`).
     """
-    if d < 1:
-        raise ValueError(f"color count must be positive, got {d}")
-    counts = _match_counts(max(distribution.sizes()), d)
+    largest = PackSpec(max(distribution.sizes()), d)
+    counts = _match_counts(largest.n, d)
     total = Fraction(0)
     for size, weight in distribution.weights:
         total += weight * weight * Fraction(counts[size], d ** (2 * size))

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -478,7 +479,7 @@ class TestMixture:
         path.write_text("1 1\n", encoding="utf-8")
         code, _, err = run_cli("mixture", str(path), "--d", "0")
         assert code == 2
-        assert "color count must be positive, got 0" in err
+        assert "color count must be positive, got d=0" in err
 
 
 class TestSimulate:
@@ -734,6 +735,34 @@ class TestExitCodesAndPlumbing:
         assert (code, out) == (2, "")
         assert err == (
             f"error: pack size n={2**63} is too large to index; at most {sys.maxsize - 1}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prob", "--n", str(sys.maxsize - 1), "--d", "3", "--route", "recursive"],
+            ["expect", "--n", str(sys.maxsize - 1), "--d", "2", "--model", "pairwise"],
+            ["simulate", "pair", "--n", str(sys.maxsize - 1), "--d", "2", "--trials", "5"],
+            ["mixture", "sizes.txt", "--d", "3"],
+        ],
+        ids=["prob-recursive", "expect-pairwise", "simulate-pair", "mixture"],
+    )
+    def test_size_too_large_to_hold_is_usage_error(self, argv, tmp_path):
+        # The largest size PackSpec takes asks recursive_columns for a list of
+        # 2**63 - 1 counts. The child's address space is capped at 1 GiB, so
+        # a change that starts filling memory fails there, not here.
+        (tmp_path / "sizes.txt").write_text(f"{sys.maxsize - 1} 1\n")
+
+        def cap_address_space() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "packmatch", *argv], capture_output=True,
+            env=child_env(), cwd=tmp_path, timeout=30, preexec_fn=cap_address_space,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == (
+            b"error: out of memory: this input is too large to hold in memory\n"
         )
 
     def test_missing_subcommand_is_usage_error(self):

@@ -410,6 +410,10 @@ class TestTwoColorProbability:
         with pytest.raises(ValueError):
             two_color_probability(-1)
 
+    def test_size_too_large_to_index_rejected(self):
+        with pytest.raises(ValueError, match=f"pack size n={2**63} is too large to index"):
+            two_color_probability(2**63)
+
     def test_central_binomial_identity(self):
         for n in range(31):
             p = two_color_probability(n)

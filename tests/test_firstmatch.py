@@ -65,6 +65,11 @@ def stopping_rule(p: Fraction, index: int, tol: float) -> Decimal | None:
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def forced_spectrum(spec: PackSpec, mode: str, precision: int | None = None) -> EndpointSpectrum:
+    """``spec``'s spectrum in the arithmetic ``mode``, built by the constructor."""
+    return EndpointSpectrum(coincidence.partition_classes(spec), spec.d**spec.n, mode, precision)
+
+
 def oracle_digits(n: int, d: int, precision: int | None) -> dict:
     """reprs of every survival, its error bound and the law, for one spectrum.
 
@@ -75,7 +80,7 @@ def oracle_digits(n: int, d: int, precision: int | None) -> dict:
     mode = "rational" if precision is None else "decimal"
 
     def build():
-        return endpoint_spectrum(PackSpec(n, d), mode=mode, precision=precision)
+        return forced_spectrum(PackSpec(n, d), mode, precision)
 
     spectrum = build()
     support = range(spectrum.num_endpoints + 2)
@@ -309,7 +314,7 @@ class TestEndpointSpectrum:
         above = endpoint_spectrum(PackSpec(140, 3))
         assert above.num_endpoints == 10011 > EXACT_ENDPOINT_LIMIT
         assert above.mode == "decimal"
-        forced = endpoint_spectrum(PackSpec(3, 3), mode="decimal", precision=30)
+        forced = forced_spectrum(PackSpec(3, 3), "decimal", 30)
         assert forced.mode == "decimal"
         assert forced.precision == 30
         # The default mode picks rational below the limit whatever the precision.
@@ -318,11 +323,9 @@ class TestEndpointSpectrum:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), mode="float")
+            forced_spectrum(PackSpec(2, 2), "float")
         with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), mode="rational", precision=50)
-        with pytest.raises(ValueError):
-            endpoint_spectrum(PackSpec(2, 2), mode="decimal", precision=2)
+            forced_spectrum(PackSpec(2, 2), "decimal", 2)
 
     def test_endpoint_ceiling_guard(self):
         with pytest.raises(ValueError, match="ceiling"):
@@ -367,12 +370,12 @@ class TestExactSurvival:
         # exactly what a spectrum walked index by index returns.
         spec = PackSpec(4, 3)
         for mode in ("rational", "decimal"):
-            walked = endpoint_spectrum(spec, mode=mode)
+            walked = forced_spectrum(spec, mode)
             powers = [walked.power_sum(j) for j in range(1, 13)]
             survivals = [walked.survival(m) for m in range(13)]
             errors = [walked.survival_error(m) for m in range(13)]
 
-            fresh = endpoint_spectrum(spec, mode=mode)
+            fresh = forced_spectrum(spec, mode)
             with pytest.raises(ValueError):
                 fresh.power_sum(0)
             with pytest.raises(ValueError):
@@ -406,7 +409,7 @@ class TestExactSurvival:
     def test_integer_newton_matches_product_expansion(self):
         for n, d in [(5, 4), (6, 3)]:
             spec = PackSpec(n, d)
-            spectrum = endpoint_spectrum(spec, mode="rational")
+            spectrum = forced_spectrum(spec, "rational")
             support = spectrum.num_endpoints
             for m in range(support + 2):
                 expected = product_survival(spec, m) if m <= support else 0
@@ -434,7 +437,7 @@ class TestExactSurvival:
         # Pruned to about half its 36 classes by index 46 at 128 digits;
         # fewer digits prune sooner.
         for precision, split, tail in [(40, 26, 13), (128, 46, 23), (256, 62, 31)]:
-            spectrum = endpoint_spectrum(PackSpec(10, 10), mode="decimal", precision=precision)
+            spectrum = forced_spectrum(PackSpec(10, 10), "decimal", precision)
             spectrum.survival(split)
             assert (spectrum.split_index, spectrum.tail_classes) == (split, tail)
         # The walk ends before the rule holds: plain convolution throughout.
@@ -450,8 +453,8 @@ class TestExactSurvival:
         # differently, yet every survival of the (10, 10) walk agrees within
         # the sum of the two tracked bounds.
         spec = PackSpec(10, 10)
-        low = endpoint_spectrum(spec, mode="decimal", precision=40)
-        high = endpoint_spectrum(spec, mode="decimal", precision=256)
+        low = forced_spectrum(spec, "decimal", 40)
+        high = forced_spectrum(spec, "decimal", 256)
         last = exact_pmf_and_expectation(high).last_index
         assert last == 1351
         for m in range(last + 1):
@@ -469,9 +472,9 @@ class TestExactSurvival:
         ]
         assert len(shapes) == 41
         for spec in shapes:
-            exact = endpoint_spectrum(spec, mode="rational")
+            exact = forced_spectrum(spec, "rational")
             for precision in (8, 10, 12, 16, 20, 30, 40):
-                approx = endpoint_spectrum(spec, mode="decimal", precision=precision)
+                approx = forced_spectrum(spec, "decimal", precision)
                 law = exact_pmf_and_expectation(approx)
                 for m in range(law.last_index + 1):
                     error = approx.survival_error(m)
@@ -501,7 +504,7 @@ class TestExactSurvival:
         rational.survival(2)
         assert rational.survival_error(2) is None
 
-        spectrum = endpoint_spectrum(PackSpec(3, 3), mode="decimal", precision=40)
+        spectrum = forced_spectrum(PackSpec(3, 3), "decimal", 40)
         assert spectrum.survival_error(0) == 0
         assert spectrum.survival_error(1) == 0
         assert spectrum.survival_error(spectrum.num_endpoints + 5) == 0
@@ -555,6 +558,31 @@ class TestClassLists:
             assert right.num_endpoints == left.num_endpoints == 9
             assert exact_pmf_and_expectation(right) == exact_pmf_and_expectation(left)
 
+    def test_mode_rule(self):
+        # The default picks rational up to EXACT_ENDPOINT_LIMIT endpoints.
+        assert EXACT_ENDPOINT_LIMIT == 10_000
+        at_limit = EndpointSpectrum([(1, 10_000)], 10_000)
+        assert (at_limit.mode, at_limit.precision) == ("rational", None)
+        above = EndpointSpectrum([(1, 10_001)], 10_001)
+        assert (above.mode, above.precision) == ("decimal", DEFAULT_PRECISION)
+        assert EndpointSpectrum([(1, 10_001)], 10_001, precision=30).precision == 30
+        # Where the default picks rational, a precision is ignored.
+        assert EndpointSpectrum([(1, 10_000)], 10_000, precision=30).precision is None
+
+    def test_mode_and_precision_refused_before_the_classes_are_read(self):
+        def unread():
+            raise AssertionError("classes read")
+            yield
+
+        for mode, precision, message in [
+            ("rational", 50, "precision applies to decimal mode only"),
+            ("decimal", 2, "decimal precision must be at least 4, got 2"),
+            (None, 3, "decimal precision must be at least 4, got 3"),
+            ("float", None, "unknown spectrum mode: 'float'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                EndpointSpectrum(unread(), 1, mode, precision)
+
     @pytest.mark.parametrize("mode, precision", [("rational", None), ("decimal", 20)])
     def test_refusals(self, mode, precision):
         for classes, denominator, message in [
@@ -574,14 +602,14 @@ class TestClassLists:
 
 class TestPrecisionAlarm:
     def test_trips_at_low_precision(self):
-        spectrum = endpoint_spectrum(PackSpec(8, 3), mode="decimal", precision=6)
+        spectrum = forced_spectrum(PackSpec(8, 3), "decimal", 6)
         law = exact_pmf_and_expectation(spectrum, tol=1e-9)
         assert law.precision_alarm
         assert spectrum.precision_alarm
         assert spectrum.max_survival_error > spectrum.alarm_threshold
 
     def test_silent_at_adequate_precision(self):
-        spectrum = endpoint_spectrum(PackSpec(8, 3), mode="decimal", precision=50)
+        spectrum = forced_spectrum(PackSpec(8, 3), "decimal", 50)
         law = exact_pmf_and_expectation(spectrum, tol=1e-12)
         assert not law.precision_alarm
         assert spectrum.max_survival_error < spectrum.alarm_threshold
@@ -638,12 +666,12 @@ class TestExactLaw:
 
     def test_decimal_law_ignores_ambient_context(self):
         spec = PackSpec(20, 4)
-        reference = exact_pmf_and_expectation(endpoint_spectrum(spec, mode="decimal"))
+        reference = exact_pmf_and_expectation(forced_spectrum(spec, "decimal"))
         assert str(reference.expectation) == "20.94810819474507940551356887"
         with decimal.localcontext() as ambient:
             ambient.prec = 6
             ambient.rounding = decimal.ROUND_FLOOR
-            law = exact_pmf_and_expectation(endpoint_spectrum(spec, mode="decimal"))
+            law = exact_pmf_and_expectation(forced_spectrum(spec, "decimal"))
         assert repr(law) == repr(reference)
 
     def test_law_value_semantics(self):
@@ -820,6 +848,13 @@ class TestMixtureMatchProbability:
         dist = PackSizeDistribution.from_pairs([(1, Fraction(1))])
         with pytest.raises(ValueError):
             mixture_match_probability(dist, 0)
+
+    def test_size_too_large_to_index_is_refused_before_counting(self):
+        # Without the PackSpec check, d = 4 runs the GF recurrence towards
+        # n = 2**63 - 1 and never returns.
+        dist = PackSizeDistribution.from_pairs([(2**63 - 1, Fraction(1))])
+        with pytest.raises(ValueError, match=f"pack size n={2**63 - 1} is too large to index"):
+            mixture_match_probability(dist, 4)
 
     def test_builds_one_grid_for_all_sizes(self, monkeypatch):
         # Sizes 1..300 at d = 2 read their counts from one list up to the

@@ -1,8 +1,9 @@
-"""Every private module-level name in ``src/packmatch`` is used somewhere.
+"""Every module-level name in ``src/packmatch`` is used somewhere.
 
 A name that starts with a single underscore is an implementation detail, so
 nothing outside the package should need it; if no other statement in the
-package reads it, it is dead code and should go.
+package reads it, it is dead code and should go. A public name may serve
+callers outside the package instead, but only if the package exports it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def _read_names(statement: ast.stmt) -> set[str]:
     return names
 
 
-def test_every_private_name_is_used_elsewhere_in_src():
+def _unread_names(keep) -> list[str]:
+    """``module: name`` for each module-level name ``keep`` picks that no other statement reads."""
     defined = []  # (module, name, defining statement)
     statements = []
     for path in sorted(SOURCE.glob("*.py")):
@@ -47,10 +49,10 @@ def test_every_private_name_is_used_elsewhere_in_src():
         for statement in module.body:
             statements.append(statement)
             for name in _defined_names(statement):
-                if name.startswith("_") and not name.startswith("__"):
+                if not name.startswith("__") and keep(name):
                     defined.append((path.name, name, statement))
-    assert defined, "no private names found; the source path is wrong"
-    unused = [
+    assert defined, "no names found; the source path is wrong"
+    return [
         f"{module}: {name}"
         for module, name, definition in defined
         if not any(
@@ -59,4 +61,12 @@ def test_every_private_name_is_used_elsewhere_in_src():
             if statement is not definition
         )
     ]
-    assert unused == []
+
+
+def test_every_private_name_is_used_elsewhere_in_src():
+    assert _unread_names(lambda name: name.startswith("_")) == []
+
+
+def test_every_public_name_is_used_elsewhere_in_src_or_exported():
+    exported = set(packmatch.__all__)
+    assert _unread_names(lambda name: not name.startswith("_") and name not in exported) == []
