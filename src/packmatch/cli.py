@@ -32,6 +32,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable
 
+from . import firstmatch  # registered lazily by the package: loaded on first use
 from .coincidence import (
     PackSpec,
     _check_run,
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOLERANCE,
-        help="series truncation tolerance (default: 1e-12)",
+        help=f"series truncation tolerance (default: {DEFAULT_TOLERANCE:g})",
     )
     _add_output_arguments(expect)
     expect.set_defaults(handler=_cmd_expect)
@@ -248,12 +249,8 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    from .firstmatch import (
-        _check_tolerance, endpoint_spectrum, exact_pmf_and_expectation, pairwise_expectation
-    )
-
     spec = PackSpec(args.n, args.d)
-    _check_tolerance(args.tol)
+    firstmatch._check_tolerance(args.tol)
     record: dict[str, Any] = {
         "command": "expect",
         "n": spec.n,
@@ -264,7 +261,7 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     series = law = None
     if args.model in ("pairwise", "both"):
         pair_probability = coincidence_probability(spec)
-        series = pairwise_expectation(pair_probability, tol=args.tol)
+        series = firstmatch.pairwise_expectation(pair_probability, tol=args.tol)
         record["pairwise"] = {
             "pair_probability": _fraction_record(pair_probability),
             "expectation": str(series.value),
@@ -272,7 +269,8 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             "last_index": series.last_index,
         }
     if args.model in ("exact", "both"):
-        law = exact_pmf_and_expectation(endpoint_spectrum(spec), tol=args.tol)
+        spectrum = firstmatch.endpoint_spectrum(spec)
+        law = firstmatch.exact_pmf_and_expectation(spectrum, tol=args.tol)
         # Exact numbers print as strings; the rest, None included, as they are.
         record["exact"] = {
             name: str(value) if isinstance(value, (Fraction, Decimal)) else value
@@ -290,11 +288,9 @@ def _cmd_expect(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _cmd_mixture(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    from .firstmatch import PackSizeDistribution, mixture_match_probability
-
-    distribution = PackSizeDistribution.from_file(args.file)
+    distribution = firstmatch.PackSizeDistribution.from_file(args.file)
     _check_digits(args.digits)
-    probability = mixture_match_probability(distribution, args.d)
+    probability = firstmatch.mixture_match_probability(distribution, args.d)
     record = {
         "command": "mixture",
         "d": args.d,
@@ -320,10 +316,8 @@ def _simulate_reference(kind: str, spec: PackSpec) -> tuple[float | None, bool]:
         return float(coincidence_probability(spec)), False
     if distinct_pack_count(spec) > _REFERENCE_ENDPOINT_LIMIT:
         return None, False
-    from .firstmatch import endpoint_spectrum, exact_pmf_and_expectation
-
-    spectrum = endpoint_spectrum(spec, precision=_REFERENCE_PRECISION)
-    law = exact_pmf_and_expectation(spectrum, tol=1e-9)
+    spectrum = firstmatch.endpoint_spectrum(spec, precision=_REFERENCE_PRECISION)
+    law = firstmatch.exact_pmf_and_expectation(spectrum, tol=1e-9)
     return float(law.expectation), law.precision_alarm
 
 

@@ -195,31 +195,52 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
                 raise ValueError(f"pairwise expectation did not converge within {cap} terms")
 
 
-def _newton_sum(
-    values: list[Number],
-    sums: list[Number],
-    split: int | None,
-    tail: list[Number],
-    base: list[Number],
-    inject: list[Number],
-) -> Number:
-    """Newton's sum sum_{i=1..k} values[k - i] * S_i, with k = len(values).
+class _NewtonWalk:
+    """Newton's identities V_k = sign * sum_{i=1..k} V_{k-i} * T_i / k from V_0 = 1.
 
-    Up to index ``split`` (or with no split) this is the convolution with the
-    power sums ``sums``. Past it the head runs over S_1..S_split, and the
-    terms with i > split are the tail sums U_c = m_c * sum_{i > split} q_c**i
-    * values[k - i], one per class still active at the split; each first
-    advances one step in place, U_c <- q_c * U_c + inject_c *
-    values[k - split - 1] with inject_c = m_c * q_c**(split + 1). Arithmetic
-    runs in the caller's context.
+    The caller appends the T_i to ``sums``. Past index ``split`` the head runs
+    over T_1..T_split and the rest is one running tail sum U_c per class, which
+    :meth:`seed` starts and each step advances in place,
+    U_c <- base_c * U_c + inject_c * V_{k-split-1} (see :class:`EndpointSpectrum`).
+    An integer sum is divided by k exactly (AssertionError if a remainder is
+    left), a Decimal one in the caller's context.
     """
-    k = len(values)
-    if split is None or k <= split:
-        return sum(map(operator.mul, reversed(values), sums))
-    head = sum(map(operator.mul, reversed(values), sums[:split]))
-    lag = [values[k - split - 1]] * len(tail)
-    tail[:] = map(operator.add, map(operator.mul, base, tail), map(operator.mul, inject, lag))
-    return sum(tail, head)
+
+    def __init__(self) -> None:
+        self.values: list[Number] = [1]
+        self.sums: list[Number] = []
+        self.base: list[Number] = []
+        self.inject: list[Number] = []
+        self.tail: list[Number] = []
+
+    def seed(self, base: list[Number], inject: list[Number]) -> None:
+        """Start one zero tail sum per injection, as T_{split + 1} forms."""
+        self.base = base
+        self.inject = inject
+        self.tail = [0] * len(inject)
+
+    def step(self, split: int | None, sign: int) -> Number:
+        """Append and return the next value V_k, for ``sign`` +1 or -1."""
+        values = self.values
+        k = len(values)
+        if split is None or k <= split:
+            total = sum(map(operator.mul, reversed(values), self.sums))
+        else:
+            head = sum(map(operator.mul, reversed(values), self.sums[:split]))
+            lag = [values[k - split - 1]] * len(self.tail)
+            advanced = map(operator.mul, self.base, self.tail)
+            self.tail[:] = map(operator.add, advanced, map(operator.mul, self.inject, lag))
+            total = sum(self.tail, head)
+        if sign < 0:
+            total = -total
+        if isinstance(total, int):
+            value, remainder = divmod(total, k)
+            if remainder:
+                raise AssertionError(f"Newton step {k} is not an integer")
+        else:
+            value = total / k
+        values.append(value)
+        return value
 
 
 class EndpointSpectrum:
@@ -318,7 +339,8 @@ class EndpointSpectrum:
     product, hence
     ``survival_error(k) = ulp (k (N + k + 9) k! H_k + (k + 2) |surv_k|)``.
 
-    Past the split the bound takes the same route,
+    The bounds run the values' walk (one ``_NewtonWalk`` each) with every
+    sign positive, so past the split they take the same route,
     V_c(k + 1) = q+_c V_c(k) + inj+_c H_{k-s}. Here q+_c = q_c (1 + ulp) is
     at least the exact probability, as the conversion is off by half an ulp.
     inj+_c = m_c q_c**(s+1) (1 + sigma_{s+1}) covers the (s + 1) ulp of the
@@ -359,21 +381,18 @@ class EndpointSpectrum:
         self.mode = mode
         self.num_classes = len(classes)
         self._den = denominator
-        # Power sums (P_j in rational mode, S_j in decimal mode), the signed
-        # elementary values, and the survivals by pack count from m = 0.
-        self._power_sums: list[Number] = []
-        self._elem: list[Number] = [1]
+        # The signed elementary values over the power sums (P_j in rational
+        # mode, S_j in decimal mode); decimal mode's bound walk comes below.
+        self._walk = _NewtonWalk()
+        self._bound_walk: _NewtonWalk | None = None
         self.precision: int | None = None
         self.alarm_threshold: Decimal | None = None
         self.max_survival_error: Decimal | None = None
         self._alarm = False
         self._active = self.num_classes
-        # Newton split (see the class docstring): the index s, one running
-        # tail sum U_c per class active at s, and their injections
-        # m_c * q_c**(s + 1).
+        # Newton split (see the class docstring): the index s and A_s.
         self._split: int | None = None
-        self._tail: list[Number] = []
-        self._inject: list[Number] = []
+        self._tail_classes = 0
 
         if mode == "rational":
             self._ctx = decimal.Context()  # exact arithmetic ignores it
@@ -395,16 +414,8 @@ class EndpointSpectrum:
             self._surv = [Decimal(1)] * 2
             self.max_survival_error = Decimal(0)
             # Error-bound state, all upward-rounded BOUND_PRECISION-digit
-            # values: upper bounds S+_j on the exact S_j, the complete
-            # homogeneous bounds H_k, k!, and the bound of each survival.
-            self._sums_up: list[Decimal] = []
-            self._homog_up = [Decimal(1)]
-            # The same split for the bounds: the running tail sums V_c, and
-            # upper bounds q+_c on the tail classes' probabilities and on
-            # their injections.
-            self._tail_up: list[Decimal] = []
-            self._base_up: list[Decimal] = []
-            self._inject_up: list[Decimal] = []
+            # values: the H_k over the S+_j, k!, and the bound of each survival.
+            self._bound_walk = _NewtonWalk()
             self._fact_up = Decimal(1)
             self._surv_err = [Decimal(0)] * 2
         self._cur = list(self._base)
@@ -427,7 +438,7 @@ class EndpointSpectrum:
     @property
     def tail_classes(self) -> int:
         """Number of classes carried by tail sums past the split; 0 before it."""
-        return len(self._tail)
+        return self._tail_classes
 
     def power_sum(self, j: int) -> Number:
         """S_j = sum over endpoints of q^j, grown up to ``j`` if needed.
@@ -439,13 +450,14 @@ class EndpointSpectrum:
             raise ValueError(f"power sum index must be at least 1, got {j}")
         self.ensure_power(j)
         if self.mode == "rational":
-            return Fraction(self._power_sums[j - 1], self._den**j)
-        return self._power_sums[j - 1]
+            return Fraction(self._walk.sums[j - 1], self._den**j)
+        return self._walk.sums[j - 1]
 
     def ensure_power(self, j: int) -> None:
         """Extend the power sums so that S_1..S_j are available."""
         cur = self._cur
-        sums = self._power_sums
+        sums = self._walk.sums
+        bounds = self._bound_walk
         with decimal.localcontext(self._ctx):
             while len(sums) < j:
                 active = self._active
@@ -455,76 +467,62 @@ class EndpointSpectrum:
                 seeding = len(sums) == self._split
                 if seeding:
                     # The class terms m_c * q_c**(s + 1) of S_{s+1} seed the tails.
-                    terms = self._inject = list(terms)
+                    terms = list(terms)
+                    self._walk.seed(self._base, terms)
                 total = sum(terms)
                 sums.append(total)
-                if self.mode == "decimal":
+                if bounds is not None:
                     # First-order relative bound on S_j: conversion, j power
                     # roundings, one product and one add per class, plus the
                     # pruning slack.
                     with decimal.localcontext(_BOUND_CONTEXT):
                         sigma = Decimal(self.num_classes + len(sums) + 6) * self._ulp
-                        self._sums_up.append(total * (1 + sigma))
+                        bounds.sums.append(total * (1 + sigma))
                         if seeding:
-                            self._inject_up = [term * (1 + sigma) for term in self._inject]
-                            self._base_up = [q * (1 + self._ulp) for q in self._base[:active]]
-                            self._tail_up = [0] * active
+                            bounds.seed(
+                                [q * (1 + self._ulp) for q in self._base[:active]],
+                                [term * (1 + sigma) for term in terms],
+                            )
                     # Drop classes that can no longer move S at this precision.
                     cutoff = cur[0] * self._prune
                     while self._active > 1 and cur[self._active - 1] < cutoff:
                         self._active -= 1
                 if self._split is None and 2 * self._active <= len(sums):
                     self._split = len(sums)
-                    self._tail = [0] * self._active
+                    self._tail_classes = self._active
 
     def _extend_newton(self, m: int) -> None:
         if m < len(self._surv):
             return
-        elem = self._elem
+        values = self._walk.values
+        bounds = self._bound_walk
         with decimal.localcontext(self._ctx):
-            while len(elem) <= m:
-                k = len(elem)
+            while len(values) <= m:
+                k = len(values)
                 if self._split is None or k == self._split + 1:
                     self.ensure_power(k)
                 # k * E_k = -sum_i E_{k-i} * S_i, with E_k = (-1)**k * e_k.
-                total = -_newton_sum(
-                    elem, self._power_sums, self._split, self._tail, self._base, self._inject
-                )
-                if self.mode == "rational":
-                    signed, remainder = divmod(total, k)
-                    if remainder:
-                        raise AssertionError(f"Newton step {k} is not an integer")
-                    self._fact *= Fraction(k, self._den)  # k! / D**k
-                else:
-                    signed = total / k
-                    self._fact *= k
-                elem.append(signed)
+                signed = self._walk.step(self._split, -1)
+                self._fact *= Fraction(k, self._den) if bounds is None else k  # k!/D**k or k!
                 surv = self._fact * (-signed if k % 2 else signed)
-                if self.mode == "decimal":
-                    self._bound_survival(k, surv)
+                if bounds is not None:
+                    with decimal.localcontext(_BOUND_CONTEXT):
+                        # k * H_k = sum_i H_{k-i} * S+_i, and e_k is off by at
+                        # most k * (N + k + 9) * ulp * H_k (see the class docstring).
+                        h_k = bounds.step(self._split, 1)
+                        self._fact_up *= k
+                        surv_err = self._ulp * (
+                            k * (self.num_classes + k + 9) * self._fact_up * h_k
+                            + (k + 2) * abs(surv)
+                        )
+                    if k >= 2:
+                        self._surv_err.append(surv_err)
+                        if surv_err > self.max_survival_error:
+                            self.max_survival_error = surv_err
+                        if surv_err > self.alarm_threshold:
+                            self._alarm = True
                 if k >= 2:
                     self._surv.append(surv)
-
-    def _bound_survival(self, k: int, surv: Decimal) -> None:
-        """Grow H_k and k! upward, and record the error bound of survival ``k``."""
-        homog = self._homog_up
-        with decimal.localcontext(_BOUND_CONTEXT):
-            # k * H_k = sum_i H_{k-i} * S+_i, and e_k is off by at most
-            # k * (N + k + 9) * ulp * H_k (see the class docstring).
-            total = _newton_sum(
-                homog, self._sums_up, self._split, self._tail_up, self._base_up, self._inject_up
-            )
-            homog.append(total / k)
-            self._fact_up *= k
-            surv_err = self._ulp * (
-                k * (self.num_classes + k + 9) * self._fact_up * homog[k] + (k + 2) * abs(surv)
-            )
-        if k >= 2:
-            self._surv_err.append(surv_err)
-            if surv_err > self.max_survival_error:
-                self.max_survival_error = surv_err
-            if surv_err > self.alarm_threshold:
-                self._alarm = True
 
     def _in_support(self, m: int) -> bool:
         """Reject a negative pack count; True while m packs can be pairwise distinct."""

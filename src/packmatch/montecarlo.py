@@ -31,7 +31,9 @@ per run of ``k`` colors, looked up as an int64 endpoint code, where the code
 elsewhere, keyed by their sorted colors. Every other shape draws numpy's
 multinomial (``d - 1`` binomials per pack): a ``d = 2`` row is one binomial
 whose set-up numpy reuses, and once ``n/d`` is large the binomials cost little
-while item colors cost ``O(n)``. ``endpoint_histogram`` keys its ``n`` int64
+while item colors cost ``O(n)``. A trial holds one key per pack it draws, so
+a shape whose mean first-match time alone would fill ``_MEMORY_BUDGET`` is
+refused before anything is drawn. ``endpoint_histogram`` keys its ``n`` int64
 item colors per sample by the same rule, code or sorted colors, so its memory
 grows with samples times ``n``, not ``d``.
 
@@ -76,6 +78,8 @@ _INVERSION_LIMIT = 30
 _CDF_DIGITS = 40  # significant digits of the first-color CDF before it is rounded
 _FIRST_COLOR_SLICE = 1 << 12  # first-color draws per numpy call in the pair experiment
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+# Bytes of first-match keys a trial may be expected to hold: 1 GiB.
+_MEMORY_BUDGET = 1 << 30
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
@@ -320,6 +324,46 @@ def _key_source(
     return _sorted_color_keys, n
 
 
+def _check_trial_memory(spec: PackSpec) -> None:
+    """Refuse a shape whose mean first-match time needs keys beyond ``_MEMORY_BUDGET``.
+
+    Over the endpoint probabilities q_v, E[X] = integral over t >= 0 of
+    e**-t * prod(1 + q_v t) dt, and log(1 + x) >= x - x**2 / 2 gives
+    E[X] >= sqrt(pi / (2 S_2)) >= sqrt(pi / (2 q_max)), where q_max is the
+    probability of the most balanced endpoint. It is n! / d**n where n < d;
+    elsewhere its counts c are full or full + 1, and Robbins' bounds on n! and
+    each c!, with sum c log(n / (d c)) <= 0, bound it by
+    e**(1 / 12n) sqrt(2 pi n) / prod(sqrt(2 pi c) e**(1 / (12c + 1))), free
+    of the cancellation that ``math.lgamma`` differences suffer at n near
+    10**16. A pack's key takes at least about 48 bytes, an int or bytes
+    object plus its set slot, so that many packs must fit the budget.
+
+    Raises:
+        ValueError: if they do not.
+    """
+    n, d = spec
+    full, extra = divmod(n, d)  # extra colors hold full + 1 items, the rest full
+    if full:
+        # Robbins: log(m! / (m / e)**m) = log(2 pi m) / 2 + 1 / (12m + t), 0 < t < 1.
+        def robbins(m: int, t: int) -> float:
+            return math.log(2 * math.pi * m) / 2 + 1 / (12 * m + t)
+
+        log_q = robbins(n, 0) - extra * robbins(full + 1, 1) - (d - extra) * robbins(full, 1)
+    else:
+        log_q = math.lgamma(n + 1) - n * math.log(d)
+    log_packs = (math.log(math.pi / 2) - log_q) / 2
+    key_bytes = 48
+    if log_packs > math.log(_MEMORY_BUDGET / key_bytes):
+        with decimal.localcontext(decimal.Context(prec=2, Emax=decimal.MAX_EMAX)):
+            packs = decimal.Decimal(log_packs).exp()
+            gib = packs * key_bytes / 2**30
+        raise ValueError(
+            f"a first-match trial at {spec} draws at least {packs} packs on average: "
+            f"{gib} GiB of keys at {key_bytes} bytes a pack, above the "
+            f"{_MEMORY_BUDGET >> 30} GiB memory budget"
+        )
+
+
 def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) -> list[int]:
     """Sample ``trials`` first-match times in turn from one generator.
 
@@ -343,8 +387,9 @@ def _first_match_times(spec: PackSpec, rng: np.random.Generator, trials: int) ->
     A block is checked against the keys seen so far and added to them by
     C-level set operations; only the block that holds the repeat is scanned
     pack by pack. A trial ends by pack distinct_pack_count(spec) + 1 by
-    pigeonhole, so the loop terminates.
+    pigeonhole, so the loop terminates. ``_check_trial_memory`` runs first.
     """
+    _check_trial_memory(spec)
     cap = distinct_pack_count(spec) + 1
     draw, width = _key_source(spec)
     step = max(16, min(_DRAW_BUDGET // width, _DRAW_ROWS))  # rows per draw call
@@ -417,7 +462,8 @@ def first_match_experiment(spec: PackSpec, trials: int, seed: int) -> FirstMatch
     """Run ``trials`` independent first-match trials, one seed stream per chunk.
 
     Raises:
-        ValueError: if ``trials`` is not positive or ``seed`` is negative.
+        ValueError: if ``trials`` is not positive or ``seed`` is negative, or
+            if a trial's keys would overrun ``_MEMORY_BUDGET`` on average.
     """
     histogram: Counter[int] = Counter()
     for rng, size in _streams(seed, trials, _CHUNK):

@@ -215,7 +215,9 @@ class TestProb:
         assert record["count"] == "2000"
 
     def test_closed_route_refuses_above_endpoint_ceiling(self):
-        # C(59, 29) endpoints: the closed route's walk would take years.
+        # C(59, 29) endpoints, above the closed route's ceiling of 10**7: the
+        # route refuses by the endpoint count, though walking its 5604
+        # partition classes would take milliseconds.
         refused = run_module("prob", "--n", "30", "--d", "30", timeout=5)
         assert refused.returncode == 2
         assert refused.stdout == b""
@@ -763,6 +765,29 @@ class TestExitCodesAndPlumbing:
         assert (result.returncode, result.stdout) == (2, b"")
         assert result.stderr == (
             b"error: out of memory: this input is too large to hold in memory\n"
+        )
+
+    @pytest.mark.parametrize("d", [2**63, 300000])
+    def test_first_match_trial_beyond_the_memory_budget_is_refused(self, d):
+        # About d**3 / 6 endpoints: a trial would hold 8.4e7 keys or more
+        # before its first repeat. The child's address space is capped at
+        # 1 GiB, so a change that starts drawing fails there, not here.
+        def cap_address_space() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = ["simulate", "firstmatch", "--n", "3", "--d", str(d), "--trials", "1"]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "packmatch", *argv], capture_output=True,
+            env=child_env(), timeout=30, preexec_fn=cap_address_space,
+        )
+        assert time.perf_counter() - start < 10
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(
+            f"error: a first-match trial at PackSpec(n=3, d={d}) draws at least ".encode()
+        )
+        assert result.stderr.endswith(
+            b" GiB of keys at 48 bytes a pack, above the 1 GiB memory budget\n"
         )
 
     def test_missing_subcommand_is_usage_error(self):

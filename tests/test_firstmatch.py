@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import decimal
+import io
 import itertools
 import json
 import math
 import pickle
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from packmatch import coincidence, firstmatch
+from packmatch import cli, coincidence, firstmatch
 from packmatch.coincidence import (
     ENDPOINT_CEILING,
     PackSpec,
@@ -417,6 +419,25 @@ class TestExactSurvival:
         long_walk = endpoint_spectrum(PackSpec(7, 7))
         assert long_walk.mode == "rational"
         assert long_walk.survival(216) == product_survival(PackSpec(7, 7), 216)
+
+    def test_integer_newton_rejects_a_corrupted_step(self, monkeypatch):
+        # Feed the third integer Newton step a sum that is off by one: the
+        # exact division by k must notice, and the CLI exits 4 on it.
+        calls = []
+
+        def corrupt_divmod(total, k):
+            calls.append(k)
+            return divmod(total + (len(calls) == 3), k)
+
+        monkeypatch.setattr(firstmatch, "divmod", corrupt_divmod, raising=False)
+        with pytest.raises(AssertionError, match="Newton step 3 is not an integer"):
+            forced_spectrum(PackSpec(4, 3), "rational").survival(4)
+        calls.clear()
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = cli.main(["expect", "--n", "4", "--d", "3", "--model", "exact"])
+        assert code == 4
+        assert err.getvalue() == "internal check failed: Newton step 3 is not an integer\n"
 
     def test_split_rational_walk_matches_product_expansion(self):
         # (7, 7) has 14 classes, so the Newton sum splits at s = 28 and the

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -375,6 +377,38 @@ class TestFirstMatchTrial:
 
 
 class TestFirstMatchExperiment:
+    @pytest.mark.parametrize(
+        "spec, packs",
+        [
+            (PackSpec(3, 300000), "8.4E+7"),
+            (PackSpec(3, 2**63), "1.4E+28"),
+            (PackSpec(10**16, 3), "1.4E+8"),  # counts far above 1: Robbins' bounds
+            (PackSpec(38, 38), "5.3E+7"),  # about 5.7e7 by the exact q_max
+            (PackSpec(10**12, 10**12), "6.1E+216248601005"),
+        ],
+    )
+    def test_trial_beyond_the_memory_budget_is_refused_before_drawing(
+        self, spec, packs, monkeypatch
+    ):
+        def refuse(spec):
+            raise RuntimeError("the key source was asked for rows")
+
+        monkeypatch.setattr(montecarlo, "_key_source", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"draws at least {re.escape(packs)} packs"):
+            first_match_experiment(spec, 3, 0)
+        with pytest.raises(ValueError, match="above the 1 GiB memory budget"):
+            first_match_trial(spec, _generator(0, 0))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 10**5), (2, 10**6), (1, 10**6), (36, 36), (60, 5), (12, 12), (8, 3), (0, 3), (5, 1)],
+    )
+    def test_trials_within_the_memory_budget_pass_the_check(self, shape):
+        # Only the check runs: (36, 36) alone would hold about 2e7 keys.
+        montecarlo._check_trial_memory(PackSpec(*shape))
+
     def test_deterministic_reports(self):
         first = first_match_experiment(PackSpec(2, 3), 500, 5)
         second = first_match_experiment(PackSpec(2, 3), 500, 5)
