@@ -11,8 +11,9 @@ module counts the matching pairs by three algorithmically independent routes
 and divides exactly: the closed-form sum of squared multinomials, taken one
 partition class of endpoints at a time with Pascal-row weights; a recursion
 over colors, built column by column; and the generating-function coefficient,
-reached by a one-pass power recurrence with multiplicative binomials. No
-route calls another, so their agreement is a check.
+reached through the differential equation of the walk's generating function
+one coefficient at a time. No route calls another, so their agreement is a
+check.
 """
 
 from __future__ import annotations
@@ -259,14 +260,14 @@ def count_closed(spec: PackSpec) -> int:
 def count_gf(spec: PackSpec) -> int:
     """Matching-pair count via generating functions.
 
-    The count equals (n!)^2 times the coefficient f_n of y^n in B(y)**d,
-    with B(y) = sum_k y^k / (k!)^2. The power is taken in one pass by
-    J.C.P. Miller's recurrence for powers of a power series (Knuth, TAOCP
-    vol. 2, section 4.7), which follows from B * (B**d)' = d * B' * B**d.
-    Scaled by (k!)^2, N_k = (k!)^2 f_k stays an integer:
-    k * N_k = sum_{i=1..k} ((d + 1) * i - k) * C(k, i)^2 * N_{k-i}, with
-    N_0 = 1, and N_n is the count. C(k, i) is updated multiplicatively along
-    each sum.
+    The count equals (n!)^2 times the coefficient of y^n in B(y)**d, with
+    B(y) = sum_k y^k / (k!)^2. With theta = y * d/dy, B solves
+    theta^2 B = y * B, so f_j = B**(d - j) * (theta B)**j for j = 0..d solve
+    the first-order system theta f_j = (d - j) f_{j+1} + j * y * f_{j-1}.
+    Scaled by (k!)^2, the coefficients g_{j,k} of y^k in f_j are integers:
+    k * g_{j,k} = (d - j) * g_{j+1,k} + j * k^2 * g_{j-1,k-1}. Each step
+    runs j = min(k, d) down to 0 (f_j starts at y^j), and g_{0,n} is the
+    count, after about n * min(n, d) exact divisions.
 
     Raises:
         AssertionError: if a step's sum is not divisible by k.
@@ -275,48 +276,38 @@ def count_gf(spec: PackSpec) -> int:
 
 
 def _gf_counts(max_n: int, d: int) -> list[int]:
-    """count(k, d) for k = 0..max_n by the recurrence of :func:`count_gf`."""
-    numbers = [1]
+    """count(k, d) for k = 0..max_n by the system of :func:`count_gf`."""
+    counts = [1] * (max_n + 1)
+    g = [1]  # g[j] = g_{j,k} for j = 0..min(k, d), from g_{0,0} = 1
     for k in range(1, max_n + 1):
-        total = 0
-        c = 1
-        for i in range(1, k + 1):
-            c = c * (k - i + 1) // i
-            total += ((d + 1) * i - k) * c * c * numbers[k - i]
-        value, remainder = divmod(total, k)
-        if remainder:
-            raise AssertionError(
-                f"generating-function step {k} at d={d} is not an integer: {total}/{k}"
-            )
-        numbers.append(value)
-    return numbers
-
-
-def _match_counts(max_n: int, d: int) -> list[int]:
-    """count(n, d) for n = 0..max_n, from the faster of two routes.
-
-    Both routes give the same integers. The recursion builds d columns; the
-    GF route's cost does not grow with d, but its terms are larger. Timed
-    in process (CPython 3.11, a 2-vCPU Xeon virtual machine), the recursion
-    wins only at d <= 3: at n = 300 the GF route takes 2.1x its time at
-    d = 2 and 1.3x at d = 3, but 0.9x at d = 4 and 0.5x at d = 6; at
-    n = 1000 it takes 1.5x at d = 3 and 0.8x at d = 4.
-    """
-    if d > 3:
-        return _gf_counts(max_n, d)
-    for column in recursive_columns(max_n, d):
-        pass
-    return column
+        if k <= d:
+            g.append(0)
+        square = k * k
+        # (d - j) * g_{j+1,k}: 0 at the top, where d - j = 0 or f_{j+1} starts
+        # past y^k. Going down, g[j - 1] still holds g_{j-1,k-1}; at j = 0 the
+        # product is 0.
+        above = 0
+        for j in range(len(g) - 1, -1, -1):
+            total = above + j * square * g[j - 1]
+            value, remainder = divmod(total, k)
+            if remainder:
+                raise AssertionError(
+                    f"generating-function step {k} at d={d} is not an integer: {total}/{k}"
+                )
+            g[j] = value
+            above = (d - j + 1) * value
+        counts[k] = value
+    return counts
 
 
 def coincidence_probability(spec: PackSpec) -> Fraction:
     """Exact probability that two independent fillings of ``spec`` match.
 
-    Equals count / d ** (2 n) with the count from the color recursion at
-    d <= 3 and from the generating-function route past that; the three
-    routes give the same integer and are cross-checked in the test suite.
+    Equals count / d ** (2 n) with the count from the generating-function
+    route, which costs about n * min(n, d) steps; the three routes give the
+    same integer and are cross-checked in the test suite.
     """
-    return Fraction(_match_counts(spec.n, spec.d)[spec.n], spec.d ** (2 * spec.n))
+    return Fraction(count_gf(spec), spec.d ** (2 * spec.n))
 
 
 def two_color_probability(n: int) -> Fraction:

@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .coincidence import (
     ENDPOINT_CEILING,
     PackSpec,
-    _match_counts,
+    _gf_counts,
     distinct_pack_count,
     partition_classes,
 )
@@ -798,7 +798,7 @@ def mixture_match_probability(distribution: PackSizeDistribution, d: int) -> Fra
             large to index (see :class:`PackSpec`).
     """
     largest = PackSpec(max(distribution.sizes()), d)
-    counts = _match_counts(largest.n, d)
+    counts = _gf_counts(largest.n, d)
     total = Fraction(0)
     for size, weight in distribution.weights:
         total += weight * weight * Fraction(counts[size], d ** (2 * size))

@@ -21,7 +21,8 @@ import pytest
 import packmatch
 from packmatch import cli
 from packmatch.coincidence import (
-    PackSpec, coincidence_probability, count_recursive, distinct_pack_count
+    PackSpec, coincidence_probability, count_recursive, distinct_pack_count,
+    two_color_probability,
 )
 from packmatch.exactmath import decimal_string
 from packmatch.firstmatch import FirstMatchLaw, endpoint_spectrum, exact_pmf_and_expectation
@@ -359,7 +360,9 @@ class TestExpect:
 
     def test_huge_color_count_never_runs_the_recursion(self, monkeypatch):
         # The recursion would build 10**20 color columns; the GF route gives
-        # p = 1/d at once, and the series refuses up front.
+        # p = 1/d at once, and the series refuses up front. At d = 2 the GF
+        # route answers too, where the recursion would hold 2001 rows of
+        # squared binomials.
         def refuse(*_args):
             raise AssertionError("the color recursion ran")
 
@@ -370,6 +373,11 @@ class TestExpect:
         assert code == 2
         assert out == ""
         assert "more than 5000000 terms at pair probability 1e-20" in err
+        pair = run_json("expect", "--n", "2000", "--d", "2", "--model", "pairwise")[
+            "pairwise"]["pair_probability"]
+        assert Fraction(int(pair["numerator"]), int(pair["denominator"])) == (
+            two_color_probability(2000)
+        )
 
     def test_digits_option_rejected(self):
         # Nothing in expect or simulate output is rendered to --digits.
@@ -746,13 +754,20 @@ class TestExitCodesAndPlumbing:
             ["expect", "--n", str(sys.maxsize - 1), "--d", "2", "--model", "pairwise"],
             ["simulate", "pair", "--n", str(sys.maxsize - 1), "--d", "2", "--trials", "5"],
             ["mixture", "sizes.txt", "--d", "3"],
+            ["prob", "--n", str(sys.maxsize - 1), "--d", "3", "--route", "gf"],
+            ["expect", "--n", str(sys.maxsize - 1), "--d", "5", "--model", "pairwise"],
+            ["mixture", "sizes.txt", "--d", "4"],
         ],
-        ids=["prob-recursive", "expect-pairwise", "simulate-pair", "mixture"],
+        ids=[
+            "prob-recursive", "expect-pairwise", "simulate-pair", "mixture", "prob-gf",
+            "expect-pairwise-d5", "mixture-d4",
+        ],
     )
     def test_size_too_large_to_hold_is_usage_error(self, argv, tmp_path):
-        # The largest size PackSpec takes asks recursive_columns for a list of
-        # 2**63 - 1 counts. The child's address space is capped at 1 GiB, so
-        # a change that starts filling memory fails there, not here.
+        # The largest size PackSpec takes asks recursive_columns or the GF
+        # route for a list of 2**63 - 1 counts. The child's address space is
+        # capped at 1 GiB, so a change that starts filling memory fails there,
+        # not here.
         (tmp_path / "sizes.txt").write_text(f"{sys.maxsize - 1} 1\n")
 
         def cap_address_space() -> None:

@@ -189,6 +189,7 @@ class TestCountingRoutes:
     def test_count_gf_golden(self):
         assert count_gf(PackSpec(3, 3)) == 93
         assert count_gf(PackSpec(4, 2)) == 70 == binomial(8, 4)
+        assert count_gf(PackSpec(2000, 2)) == math.comb(4000, 2000)
         for d in range(1, 7):
             assert count_gf(PackSpec(1, d)) == d
 
@@ -230,17 +231,32 @@ class TestCountingRoutes:
             assert count_gf(PackSpec(n, d)) == count
 
     def test_gf_route_rejects_a_corrupted_step(self, monkeypatch):
-        # Feed one step of the power recurrence a sum that is off by one: the
+        # Feed the first division of step 3 a sum that is off by one: the
         # exact division by k must notice.
         calls = []
 
         def corrupt_divmod(total, k):
             calls.append(k)
-            return divmod(total + (len(calls) == 3), k)
+            return divmod(total + (calls.count(3) == 1 and k == 3), k)
 
         monkeypatch.setattr(coincidence, "divmod", corrupt_divmod, raising=False)
         with pytest.raises(AssertionError, match="step 3 .* is not an integer"):
             count_gf(PackSpec(6, 4))
+
+    def test_gf_list_equals_recursion_columns(self):
+        # Every column of the color recursion, n <= d included.
+        for max_n, max_d in [(120, 30), (30, 40)]:
+            for d, column in enumerate(recursive_columns(max_n, max_d), start=1):
+                assert coincidence._gf_counts(max_n, d) == column, (max_n, d)
+
+    @pytest.mark.parametrize("d", [10**20, 2**63 + 7])
+    def test_gf_list_at_huge_color_counts(self, d):
+        # The class walk sums size * weight^2 without any d-sized loop.
+        counts = coincidence._gf_counts(12, d)
+        for n in range(13):
+            assert counts[n] == sum(
+                size * weight * weight for weight, size in partition_classes(PackSpec(n, d))
+            ), n
 
     def test_routes_match_brute_force_walk_pairs(self):
         # Definitional oracle over the full ordered sample space d^(2n).
@@ -306,20 +322,16 @@ class TestCoincidenceTable:
         column = list(recursive_columns(300, 2))[-1]
         assert column == [math.comb(2 * n, n) for n in range(301)]
 
-    def test_match_counts_switch_routes_past_three_colors(self, monkeypatch):
-        # count(n, d) for n = 0..max_n: the recursion's last column up to
-        # d = 3, the GF list past it; the integers are the same.
-        for max_n in range(6):
-            for d in range(1, 9):
-                expected = list(recursive_columns(max_n, d))[-1]
-                assert coincidence._match_counts(max_n, d) == expected, (max_n, d)
-
+    def test_probability_never_runs_the_recursion(self, monkeypatch):
+        # The pair probability reads the GF route at every shape, including
+        # d <= 3 and d = 10**20, where the recursion would build 10**20 columns.
         def refuse(*_args):
             raise AssertionError("the color recursion ran")
 
         monkeypatch.setattr(coincidence, "recursive_columns", refuse)
+        assert coincidence_probability(PackSpec(300, 2)) == two_color_probability(300)
         assert coincidence_probability(PackSpec(1, 10**20)) == Fraction(1, 10**20)
-        for n, d in [(8, 9), (60, 4)]:
+        for n, d in [(200, 3), (8, 9), (60, 4)]:
             assert coincidence_probability(PackSpec(n, d)) == Fraction(
                 count_closed(PackSpec(n, d)), d ** (2 * n)
             )

@@ -878,37 +878,31 @@ class TestMixtureMatchProbability:
             mixture_match_probability(dist, 4)
 
     def test_builds_one_grid_for_all_sizes(self, monkeypatch):
-        # Sizes 1..300 at d = 2 read their counts from one list up to the
-        # largest size, the last column of one recursion pass; no size is
-        # counted on its own.
+        # Sizes 1..300 at d = 2 read their counts from one GF list up to the
+        # largest size; no size is counted on its own, and the recursion
+        # never runs.
         def refuse(*args):
             raise AssertionError("a size was counted on its own")
 
         calls = []
+        build = coincidence._gf_counts
 
-        def counted(max_n, max_d):
-            calls.append((max_n, max_d))
-            return coincidence._match_counts(max_n, max_d)
+        def counted(max_n, d):
+            calls.append((max_n, d))
+            return build(max_n, d)
 
-        columns = []
-        build = coincidence.recursive_columns
-
-        def recorded(max_n, max_d):
-            columns.append((max_n, max_d))
-            return build(max_n, max_d)
-
-        monkeypatch.setattr(firstmatch, "_match_counts", counted)
-        monkeypatch.setattr(coincidence, "recursive_columns", recorded)
+        monkeypatch.setattr(firstmatch, "_gf_counts", counted)
+        monkeypatch.setattr(coincidence, "recursive_columns", refuse)
         monkeypatch.setattr(coincidence, "coincidence_probability", refuse)
         monkeypatch.setattr(coincidence, "count_recursive", refuse)
         dist = PackSizeDistribution.from_pairs([(n, Fraction(1, 300)) for n in range(1, 301)])
         value = mixture_match_probability(dist, 2)
-        assert calls == columns == [(300, 2)]
+        assert calls == [(300, 2)]
         assert value == sum(two_color_probability(n) for n in range(1, 301)) / 300**2
 
     def test_huge_color_count_reads_the_gf_list(self, monkeypatch):
-        # The recursion would build 10**20 columns; past d = 3 the GF route
-        # answers, with the same integers.
+        # The recursion would build 10**20 columns; the GF route answers, with
+        # the same integers.
         def refuse(*args):
             raise AssertionError("the recursion ran")
 

@@ -33,6 +33,7 @@ TRACE_JOB = REPO_ROOT / "bench" / "trace_job.py"
                 "firstmatch.survival_steps",
                 "firstmatch.pairwise_terms",
                 "coincidence.probability.calls",
+                "coincidence.gf.calls",
             ],
         ),
         (
