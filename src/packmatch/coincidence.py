@@ -10,10 +10,10 @@ The ordered sample space for a pack pair has ``d ** (2 n)`` elements. This
 module counts the matching pairs by three algorithmically independent routes
 and divides exactly: the closed-form sum of squared multinomials, taken one
 partition class of endpoints at a time with Pascal-row weights; a recursion
-over colors, built column by column; and the generating-function coefficient,
-reached through the differential equation of the walk's generating function
-one coefficient at a time. No route calls another, so their agreement is a
-check.
+over colors, built column by column for at most n + 1 colors and carried to d
+by forward differences; and the generating-function coefficient, reached
+through the differential equation of the walk's generating function one
+coefficient at a time. No route calls another, so their agreement is a check.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ def compositions(spec: PackSpec) -> Iterator[tuple[int, ...]]:
     C(n + d - 1, d - 1).
     """
     n, d = spec.n, spec.d
-    if d == 1:
-        yield (n,)
-        return
     counts = [0] * d
     counts[-1] = n
     while True:
@@ -155,10 +152,21 @@ def recursive_columns(max_n: int, max_d: int) -> Iterator[list[int]]:
 
 
 def count_recursive(spec: PackSpec) -> int:
-    """Matching-pair count via the bottom-up color recursion."""
-    for column in recursive_columns(spec.n, spec.d):
-        pass
-    return column[spec.n]
+    """Matching-pair count via the bottom-up color recursion.
+
+    count(n, d) is a polynomial of degree at most n in d: a class of k parts
+    holds d * (d - 1) * ... * (d - k + 1) / prod(run!) endpoints (see
+    :func:`partition_classes`). So the recursion runs for m = min(d, n + 1)
+    colors, and Newton's forward differences carry count(n, 1..m) to d:
+    count(n, d) = sum_k C(d - 1, k) * Delta^k count(n, 1), exact at the nodes.
+    """
+    n, d = spec.n, spec.d
+    values = [column[n] for column in recursive_columns(n, min(d, n + 1))]
+    count = 0
+    for k in range(len(values)):
+        count += binomial(d - 1, k) * values[0]
+        values = list(map(operator.sub, values[1:], values))
+    return count
 
 
 def _pascal_rows(n: int, d: int) -> list[list[int] | None]:

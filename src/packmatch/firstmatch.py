@@ -136,17 +136,16 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
     The ratio decreases in l, and once it is below 1 the term and the tail
     bound decrease too; so once the stopping rule holds it holds for every
     larger l, and the sum stops within ``_PAIRWISE_MAX_TERMS`` terms exactly
-    when the rule holds at l = ``_PAIRWISE_MAX_TERMS``. The call evaluates
-    the rule there once, before summing, from (1 - p)**C(l-1, 2) and
-    (1 - p)**(l - 1) taken as powers, and refuses the series if the rule
-    fails even with that term and ratio both lowered by the relative margin
-    10**-20. The sum's own products carry a relative error below 10**-25 at
-    that l (at most about l**2 / 2 roundings, each below 10**-39), and the
-    powers one of about 10**-39, so the margin covers the gap between the
-    two evaluations: with the term and ratio no larger than the sum's, the
-    tail bound term * r / (1 - r) is no larger either, and the check never
-    refuses a series the sum would finish. The in-loop term cap stays as a
-    backstop for a rule that fails at the cap by less than the margin.
+    when the rule holds at l = ``_PAIRWISE_MAX_TERMS``. The call decides
+    that once, before summing: it evaluates the rule there from
+    (1 - p)**C(l-1, 2) and (1 - p)**(l - 1) taken as powers, and refuses the
+    series if the rule fails with that term and ratio both raised by the
+    relative margin 10**-20. The sum's own products carry a relative error
+    below 10**-25 at that l (at most about l**2 / 2 roundings, each below
+    10**-39), and the powers one of about 10**-39, so with the term and ratio
+    at least the sum's, the tail bound term * r / (1 - r) is at least the
+    sum's too: a series the check accepts stops in the sum's own arithmetic
+    by that l. One whose rule holds there by less than the margin is refused.
 
     Raises:
         ValueError: if ``tol`` is not in (0, 1), if ``p`` is not in (0, 1]
@@ -163,9 +162,9 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
         pd = Decimal(p.numerator) / Decimal(p.denominator)
         omp = 1 - pd
         cap = _PAIRWISE_MAX_TERMS
-        lower = 1 - Decimal("1e-20")
-        term = Decimal(cap * (cap - 1)) * pd * omp ** ((cap - 1) * (cap - 2) // 2) * lower
-        ratio = Decimal(cap + 1) / Decimal(cap - 1) * omp ** (cap - 1) * lower
+        upper = 1 + Decimal("1e-20")
+        term = Decimal(cap * (cap - 1)) * pd * omp ** ((cap - 1) * (cap - 2) // 2) * upper
+        ratio = Decimal(cap + 1) / Decimal(cap - 1) * omp ** (cap - 1) * upper
         if _geometric_tail(term, ratio, tolerance) is None:
             reason = (
                 "its term ratio is still at least 1"
@@ -191,8 +190,6 @@ def pairwise_expectation(p: Fraction, tol: float = DEFAULT_TOLERANCE) -> SeriesE
             power *= step
             step *= omp
             index += 1
-            if index > cap:
-                raise ValueError(f"pairwise expectation did not converge within {cap} terms")
 
 
 class _NewtonWalk:
@@ -290,8 +287,8 @@ class EndpointSpectrum:
     integers (-1)**k * D**k * e_k, dividing exactly by k; a survival is the
     one Fraction k! * e_k. ``"decimal"`` works at a fixed number of
     significant digits and tracks a conservative absolute error bound for
-    every survival value. If any bound crosses ``alarm_threshold``
-    (10**-(precision // 2)) the sticky ``precision_alarm`` flag is raised. In
+    every survival value. ``precision_alarm`` reads True once any bound
+    computed so far exceeds ``alarm_threshold`` (10**-(precision // 2)). In
     decimal mode, classes whose current power has decayed below
     10**-(precision + 12) times the leading class's power are dropped from
     later power sums (up to the split, whose tails keep the classes active
@@ -387,8 +384,6 @@ class EndpointSpectrum:
         self._bound_walk: _NewtonWalk | None = None
         self.precision: int | None = None
         self.alarm_threshold: Decimal | None = None
-        self.max_survival_error: Decimal | None = None
-        self._alarm = False
         self._active = self.num_classes
         # Newton split (see the class docstring): the index s and A_s.
         self._split: int | None = None
@@ -412,7 +407,6 @@ class EndpointSpectrum:
                 self.alarm_threshold = Decimal(10) ** (-(precision // 2))
             self._fact = Decimal(1)
             self._surv = [Decimal(1)] * 2
-            self.max_survival_error = Decimal(0)
             # Error-bound state, all upward-rounded BOUND_PRECISION-digit
             # values: the H_k over the S+_j, k!, and the bound of each survival.
             self._bound_walk = _NewtonWalk()
@@ -421,9 +415,14 @@ class EndpointSpectrum:
         self._cur = list(self._base)
 
     @property
+    def max_survival_error(self) -> Decimal | None:
+        """Largest survival error bound so far: 0 before m = 2, None in rational mode."""
+        return None if self.mode == "rational" else max(self._surv_err)
+
+    @property
     def precision_alarm(self) -> bool:
         """True once any survival error bound exceeded the alarm threshold."""
-        return self._alarm
+        return self.mode == "decimal" and self.max_survival_error > self.alarm_threshold
 
     @property
     def split_index(self) -> int | None:
@@ -517,10 +516,6 @@ class EndpointSpectrum:
                         )
                     if k >= 2:
                         self._surv_err.append(surv_err)
-                        if surv_err > self.max_survival_error:
-                            self.max_survival_error = surv_err
-                        if surv_err > self.alarm_threshold:
-                            self._alarm = True
                 if k >= 2:
                     self._surv.append(surv)
 
@@ -587,7 +582,7 @@ class FirstMatchLaw(NamedTuple):
     including the tail bound's worth of slack at most; ``tail_bound`` bounds
     the probability-weighted mass ignored past ``last_index``. In decimal
     mode ``survival_error`` carries the largest tracked error bound and
-    ``precision_alarm`` mirrors the spectrum's sticky flag.
+    ``precision_alarm`` mirrors the spectrum's alarm.
     """
 
     mode: str

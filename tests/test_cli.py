@@ -6,10 +6,13 @@ import csv
 import io
 import json
 import os
+import re
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -17,11 +20,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import packmatch
 from packmatch import cli
 from packmatch.coincidence import (
-    PackSpec, coincidence_probability, count_recursive, distinct_pack_count,
+    PackSpec, coincidence_probability, count_gf, count_recursive, distinct_pack_count,
     two_color_probability,
 )
 from packmatch.exactmath import decimal_string
@@ -230,6 +234,23 @@ class TestProb:
         assert answered.returncode == 0, answered.stderr
         expected = count_recursive(PackSpec(30, 30))
         assert json.loads(answered.stdout)["count"] == str(expected)
+
+    @pytest.mark.parametrize("n, d", [(1, 10**20), (12, 10**20), (5, 2**63 + 7)])
+    def test_recursive_route_at_huge_color_counts(self, n, d):
+        # The recursion stops at n + 1 colors and carries its counts to d, so
+        # no loop runs once per color. The child's address space is capped
+        # at 1 GiB and its time at 10 s, so a change that loops per color
+        # fails there, not here.
+        def cap_address_space() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = ["prob", "--n", str(n), "--d", str(d), "--route", "recursive", "--format", "json"]
+        result = subprocess.run(
+            [sys.executable, "-m", "packmatch", *argv], capture_output=True,
+            env=child_env(), timeout=10, preexec_fn=cap_address_space,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert json.loads(result.stdout)["count"] == str(count_gf(PackSpec(n, d)))
 
     def test_validation_exit_code(self):
         assert run_cli("prob", "--n", "-1", "--d", "3")[0] == 2
@@ -677,7 +698,63 @@ _USAGE_BEFORE_WORK = [
 ]
 
 
+# Distribution files for the exit-code sweep: valid ones and ones the parser
+# refuses (a negative size, a zero or missing weight, weights off 1, junk).
+_SWEEP_MIXTURES = [
+    "3 1/4\n5 1/2\n8 1/4\n", "2 1\n", "# sizes\n0 0.5\n4 5e-1\n", "-1 1\n",
+    "3 0\n2 1\n", "4 1/3\n", "x y\n", "5\n", "",
+]
+
+
+@st.composite
+def _sweep_argv(draw) -> tuple[list[str], str]:
+    """A command line over shapes that need no budget, and a mixture file's text."""
+    n = str(draw(st.integers(-2, 8)))
+    d = str(draw(st.integers(-1, 6)))
+    digits = draw(st.sampled_from(["-1", "0", "4", "12"]))
+    command = draw(st.sampled_from(["table", "prob", "expect", "mixture", "simulate"]))
+    if command == "table":
+        which = draw(st.sampled_from(["counts", "probabilities"]))
+        argv = ["table", n, d, which, "--digits", digits]
+    elif command == "prob":
+        route = draw(st.sampled_from(["closed", "recursive", "gf", "all"]))
+        argv = ["prob", "--n", n, "--d", d, "--route", route, "--digits", digits]
+    elif command == "expect":
+        model = draw(st.sampled_from(["pairwise", "exact", "both"]))
+        tol = draw(st.sampled_from(["0", "nan", "1", "-1e-3", "1e-12", "1e-4", "0.5"]))
+        argv = ["expect", "--n", n, "--d", d, "--model", model, "--tol", tol]
+    elif command == "mixture":
+        argv = ["mixture", "sizes.txt", "--d", d, "--digits", digits]
+    else:
+        kind = draw(st.sampled_from(["pair", "firstmatch"]))
+        trials = draw(st.sampled_from(["-1", "0", "1", "40", "2.5"]))
+        seed = draw(st.sampled_from(["-1", str(2**64), "0", str(2**64 - 1)]))
+        argv = ["simulate", kind, "--n", n, "--d", d, "--trials", trials, "--seed", seed]
+    argv += ["--format", draw(st.sampled_from(["plain", "csv", "json"]))]
+    return argv, draw(st.sampled_from(_SWEEP_MIXTURES))
+
+
 class TestExitCodesAndPlumbing:
+    @settings(deadline=None, max_examples=150)
+    @given(_sweep_argv())
+    def test_every_small_input_answers_or_is_refused(self, drawn):
+        # Every input finishes with exit 0 or is refused with exit 2 and no
+        # output; argparse refuses with SystemExit(2). Nothing else escapes.
+        argv, mixture = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            Path(directory, "sizes.txt").write_text(mixture)
+            argv = [os.path.join(directory, a) if a == "sizes.txt" else a for a in argv]
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue() != "", argv
+
     @pytest.mark.parametrize("argv, work, message", _USAGE_BEFORE_WORK)
     def test_usage_error_reported_before_any_work(
         self, argv, work, message, monkeypatch, tmp_path
@@ -999,3 +1076,31 @@ class TestSubprocessDeterminism:
         second = self.run_argv(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """Each ``$ packmatch ...`` example of a README text block, with its stdout.
+
+    An example whose output is elided (it holds ``...`` or ``…``) is left out.
+    """
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            if command.startswith("packmatch ") and "..." not in output and "…" not in output:
+                examples.append((command, output))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_the_examples_are_found(self):
+        assert len(readme_examples()) >= 4
+
+    @pytest.mark.parametrize(
+        "command, output", [pytest.param(*example, id=example[0]) for example in readme_examples()]
+    )
+    def test_example_prints_what_the_readme_shows(self, command, output):
+        code, out, err = run_cli(*shlex.split(command)[1:])
+        assert (code, err) == (0, "")
+        assert out == output

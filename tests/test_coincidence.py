@@ -258,6 +258,49 @@ class TestCountingRoutes:
                 size * weight * weight for weight, size in partition_classes(PackSpec(n, d))
             ), n
 
+    @pytest.mark.parametrize(
+        "n, d",
+        [(1, 2000), (12, 10**20), (30, 2**63 + 7), (24, 24), (24, 25), (24, 26),
+         (60, 100), (100, 40), (200, 300)],
+    )
+    def test_recursion_carried_to_many_colors(self, n, d, monkeypatch):
+        # count(n, d) is a polynomial of degree at most n in d, so the
+        # recursion builds at most n + 1 columns and forward differences
+        # carry them to d; at d <= n + 1 they land on a column exactly. A
+        # wider request fails at once instead of looping once per color.
+        widths = []
+        columns = coincidence.recursive_columns
+
+        def recorded(max_n, max_d):
+            assert max_d <= n + 1, max_d
+            widths.append(max_d)
+            return columns(max_n, max_d)
+
+        monkeypatch.setattr(coincidence, "recursive_columns", recorded)
+        assert count_recursive(PackSpec(n, d)) == count_gf(PackSpec(n, d))
+        assert widths == [min(d, n + 1)]
+
+    def test_counts_match_closed_sums_no_route_uses(self):
+        # OEIS A002893 at d = 3 and the Domb numbers, OEIS A002895, at d = 4.
+        def a002893(n):
+            return sum(math.comb(n, k) ** 2 * math.comb(2 * k, k) for k in range(n + 1))
+
+        def a002895(n):
+            return sum(
+                math.comb(n, k) ** 2 * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
+                for k in range(n + 1)
+            )
+
+        for d, top, closed_sum in [(3, 60, a002893), (4, 40, a002895)]:
+            for n in range(top + 1):
+                spec = PackSpec(n, d)
+                expected = closed_sum(n)
+                assert count_closed(spec) == expected, spec
+                assert count_recursive(spec) == expected, spec
+                assert count_gf(spec) == expected, spec
+        assert count_gf(PackSpec(2000, 3)) == a002893(2000)
+        assert count_gf(PackSpec(1000, 4)) == a002895(1000)
+
     def test_routes_match_brute_force_walk_pairs(self):
         # Definitional oracle over the full ordered sample space d^(2n).
         for n in range(4):

@@ -635,6 +635,26 @@ class TestPrecisionAlarm:
         assert not law.precision_alarm
         assert spectrum.max_survival_error < spectrum.alarm_threshold
 
+    def test_alarm_and_largest_bound_read_the_survival_bounds(self):
+        # One record: the largest bound and the alarm follow the survival
+        # bounds computed so far, in whatever order they are asked for.
+        spectrum = forced_spectrum(PackSpec(8, 3), "decimal", 6)
+        assert (spectrum.max_survival_error, spectrum.precision_alarm) == (0, False)
+        reached = 0
+        for m in [5, 2, 12, 30, 20, 45]:
+            spectrum.survival_error(m)
+            reached = max(reached, m)
+            # Asking below the walk's reach grows nothing.
+            largest = max(spectrum.survival_error(k) for k in range(reached + 1))
+            assert spectrum.max_survival_error == largest
+            assert spectrum.precision_alarm == (largest > spectrum.alarm_threshold)
+        assert spectrum.precision_alarm
+        with pytest.raises(AttributeError):
+            spectrum.max_survival_error = Decimal(0)
+        rational = forced_spectrum(PackSpec(8, 3), "rational")
+        rational.survival(20)
+        assert (rational.max_survival_error, rational.precision_alarm) == (None, False)
+
     def test_flagship_run_stays_silent(self, headline_law):
         assert headline_law.precision == DEFAULT_PRECISION
         assert not headline_law.precision_alarm
