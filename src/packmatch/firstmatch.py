@@ -772,9 +772,18 @@ class PackSizeDistribution(NamedTuple("PackSizeDistribution", [("weights", Weigh
 
     @classmethod
     def from_file(cls, path: object) -> "PackSizeDistribution":
-        """Parse a distribution file; see :meth:`from_text` for the format."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read(), source=str(path))
+        """Parse a distribution file; see :meth:`from_text` for the format.
+
+        The file is UTF-8, with or without a byte-order mark. A byte that is
+        not UTF-8 raises ValueError naming the path, like every other parse
+        error.
+        """
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        return cls.from_text(text, source=str(path))
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.weights)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -83,6 +84,103 @@ def cli_records() -> dict[str, str]:
             assert (code, err) == (0, ""), err
             outputs[" ".join(argv)] = out
     return outputs
+
+
+# The command lines whose stdout, stderr and exit code ``cli_corpus.json``
+# pins in plain, csv and json; mixture file paths are relative to the
+# repository root. Refusals are listed like answers.
+_CORPUS_COMMANDS = [
+    "prob --n 24 --d 8 --route all",
+    "prob --n 200 --d 3 --route all",
+    "prob --n 80 --d 5 --route all",
+    "prob --n 1 --d 2000 --route recursive",
+    "prob --n 30 --d 30 --route recursive",
+    "prob --n 0 --d 3 --route recursive",
+    "prob --n 30 --d 30",
+    "expect --n 60 --d 5",
+    "expect --n 40 --d 2",
+    "expect --n 100 --d 40",
+    "expect --n 30 --d 30",
+    "expect --n 24 --d 24",
+    "expect --n 1 --d 100000000000000000000",
+    "expect --n 4 --d 3 --tol 1e-30",
+    "expect --n 10 --d 10 --model exact",
+    "expect --n 7 --d 7 --model exact",
+    "expect --n 300 --d 2 --model exact",
+    "expect --n 140 --d 3 --model exact",
+    "expect --n 40 --d 4 --model exact",
+    "expect --n 24 --d 24 --model pairwise",
+    "expect --n 1 --d 100000000000000000000 --model pairwise",
+    "expect --n 1000 --d 2 --model pairwise",
+    "mixture tests/golden/mixture_sizes.txt --d 2",
+    "mixture tests/golden/mixture_sizes.txt --d 3",
+    "mixture tests/golden/mixture_sizes.txt --d 4",
+    "mixture tests/golden/mixture_sizes.txt --d 9",
+    "mixture tests/golden/mixture_two_sizes.txt --d 100000000000000000000",
+    "mixture tests/golden/mixture_sizes_1_to_300.txt --d 2",
+    "table 12 9 counts",
+    "table 10 6 probabilities --digits 9",
+    "simulate pair --n 60 --d 5 --trials 20000 --seed 3",
+    "simulate pair --n 200 --d 3 --trials 5000 --seed 5",
+    "simulate firstmatch --n 60 --d 5 --trials 300 --seed 4",
+    "simulate firstmatch --n 8 --d 3 --trials 2000 --seed 9",
+]
+# (139, 3), the largest rational-mode shape at d = 3, takes over a second a
+# run, so it is pinned in json alone, which holds every digit.
+_CORPUS_JSON_ONLY = ["expect --n 139 --d 3 --model exact"]
+
+
+def corpus_commands() -> list[str]:
+    """Every key of ``cli_corpus.json``: ``--help`` of the parser and of each
+    subcommand, then each corpus command in each format."""
+    parser = cli.build_parser()
+    subcommands = next(
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        "--help",
+        *(f"{name} --help" for name in subcommands),
+        *(f"{command} --format {fmt}" for command in _CORPUS_COMMANDS
+          for fmt in ("plain", "csv", "json")),
+        *(f"{command} --format json" for command in _CORPUS_JSON_ONLY),
+    ]
+
+
+def corpus_entry(command: str) -> dict:
+    """Stdout, stderr and exit code of one command line, run in process.
+
+    Run it from the repository root with ``COLUMNS=80``: argparse wraps help
+    text to the terminal's width.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(shlex.split(command))
+        except SystemExit as exc:  # argparse ends --help with it
+            code = exc.code
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def cli_corpus() -> dict[str, dict]:
+    """The contents of ``cli_corpus.json``; see :func:`corpus_entry` for where to run it."""
+    return {command: corpus_entry(command) for command in corpus_commands()}
+
+
+@pytest.fixture(scope="module")
+def corpus_golden() -> dict[str, dict]:
+    return json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))
+
+
+class TestCorpus:
+    def test_keys_are_the_corpus_commands(self, corpus_golden):
+        assert list(corpus_golden) == corpus_commands()
+
+    @pytest.mark.parametrize("command", corpus_commands())
+    def test_output_equals_golden(self, command, corpus_golden, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.setenv("COLUMNS", "80")
+        assert corpus_entry(command) == corpus_golden[command]
 
 
 def child_env() -> dict[str, str]:
@@ -357,6 +455,21 @@ class TestExpect:
         assert "ceiling" in err
         assert "endpoint_ceiling" not in err
 
+    @pytest.mark.parametrize("n, d", [(60000, 3), (29, 20)])
+    def test_default_model_refuses_at_the_ceiling_before_either_model_runs(
+        self, n, d, monkeypatch
+    ):
+        # Run first, the pairwise model would spend seconds and hundreds of MB
+        # on (60000, 3)'s pair count and sum millions of terms at (29, 20).
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a model ran")
+
+        monkeypatch.setattr(cli, "coincidence_probability", refuse)
+        monkeypatch.setattr("packmatch.firstmatch.pairwise_expectation", refuse)
+        code, out, err = run_cli("expect", "--n", str(n), "--d", str(d))
+        assert (code, out) == (2, "")
+        assert err.endswith(" distinct endpoints, above the ceiling 10000000\n")
+
     def test_unreachable_pairwise_series_fails_fast(self):
         # p ~ 7e-16: the series' term ratio stays above 1 past its term cap.
         result = run_module(
@@ -500,6 +613,22 @@ class TestMixture:
             assert out == ""
             assert f"error: {path}: decimal weights sum to {total}" in err
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("1 1/2\n2 1/2\n", encoding="utf-8-sig")
+        record = run_json("mixture", str(path), "--d", "2")
+        assert record["probability"] == {"numerator": "7", "denominator": "32"}
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 1/2\n2 1/2 # caf\xe9\n")
+        code, out, err = run_cli("mixture", str(path), "--d", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 17: "
+            "invalid continuation byte\n"
+        )
+
     def test_missing_file_exit_code(self, tmp_path):
         code, _, err = run_cli("mixture", str(tmp_path / "none.txt"), "--d", "2")
         assert code == 2
@@ -551,6 +680,17 @@ class TestSimulate:
         assert record["analytic_reference"] is not None
         assert sum(record["histogram"].values()) == 20
         assert abs(record["mean"] - record["analytic_reference"]) < 5 * record["std_error"]
+
+    def test_firstmatch_reference_is_null_above_its_endpoint_limit(self):
+        # (1, 10**6 + 1) has one endpoint more than the reference runs at.
+        argv = ["simulate", "firstmatch", "--n", "1", "--d", "1000001", "--trials", "3"]
+        assert run_json(*argv)["analytic_reference"] is None
+        for fmt, last_line in (("plain", "analytic_reference: None"), ("csv", "analytic_reference,")):
+            code, out, err = run_cli(*argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == last_line
+        record = run_json("simulate", "firstmatch", "--n", "1", "--d", "1000000", "--trials", "3")
+        assert record["analytic_reference"] == 1253.9809083944108
 
     def test_firstmatch_reference_runs_at_48_digits(self, monkeypatch):
         # Decimal mode at 48 digits, rational mode as before; at (1, 20000)

@@ -122,6 +122,39 @@ def product_survival(spec: PackSpec, m: int) -> Fraction:
     return product_survivals(spec, m)[m]
 
 
+def class_order_survivals(classes, steps: int) -> list[int]:
+    """m! * E_m for m = 0..steps, the survivals times D**m, without Newton's identities.
+
+    ``classes`` holds (weight, multiplicity) pairs over one denominator D.
+    ``P(t) = prod_c (1 + w_c t)**m_c = sum_m E_m t**m`` with ``E_m = D**m e_m``
+    solves ``Q P' = R P``, where ``Q = prod_c (1 + w_c t)`` and
+    ``R = sum_c m_c w_c Q / (1 + w_c t)``. Matching the coefficients of t**m
+    gives, over the K classes,
+    ``(m+1) E_{m+1} = sum_{i<K} R_i E_{m-i} - sum_{1<=i<=K} Q_i (m+1-i) E_{m+1-i}``,
+    whose division by m + 1 is exact. A step costs O(K) integer operations.
+    """
+    merged = Counter()
+    for weight, size in classes:
+        merged[weight] += size
+    q = [1]
+    for weight in merged:
+        q = [a + weight * b for a, b in zip(q + [0], [0] + q)]
+    r = [0] * (len(q) - 1)
+    for weight, size in merged.items():
+        quotient = 0  # synthetic division of Q by (1 + w t), one coefficient at a time
+        for i in range(len(r)):
+            quotient = q[i] - weight * quotient
+            r[i] += size * weight * quotient
+    e = [1]
+    for m in range(steps):
+        total = sum(r[i] * e[m - i] for i in range(min(len(r), m + 1)))
+        total -= sum(q[i] * (m + 1 - i) * e[m + 1 - i] for i in range(1, min(len(q), m + 2)))
+        value, remainder = divmod(total, m + 1)
+        assert remainder == 0, m
+        e.append(value)
+    return [math.factorial(m) * value for m, value in enumerate(e)]
+
+
 class TestPairwisePmf:
     def test_examples(self):
         assert pairwise_pmf(Fraction(1, 2), 2) == Fraction(1, 2)
@@ -621,6 +654,47 @@ class TestClassLists:
             EndpointSpectrum([(1, 1)], 1, "float", None)
 
 
+class TestClassOrderReference:
+    """The oracle against :func:`class_order_survivals`, which shares only the class list."""
+
+    @pytest.mark.parametrize("n, d", [(4, 3), (7, 7), (2, 365)])
+    def test_rational_survivals_equal_the_reference(self, n, d):
+        spec = PackSpec(n, d)
+        spectrum = forced_spectrum(spec, "rational")
+        reference = class_order_survivals(coincidence.partition_classes(spec), 60)
+        for m, value in enumerate(reference):
+            assert spectrum.survival(m) == Fraction(value, spec.d ** (spec.n * m)), m
+
+    @pytest.mark.parametrize(
+        "classes, denominator, mode, steps",
+        [
+            # 92 378 endpoints in 36 classes: the default picks decimal mode,
+            # pruning and the split are both active, and the law's walk at
+            # the default tolerance takes 1351 steps.
+            pytest.param(
+                list(coincidence.partition_classes(PackSpec(10, 10))), 10**10, None, 1351,
+                id="(10,10)",
+            ),
+            # Forced decimal mode over the whole support and one step past it.
+            pytest.param([(1, 365)], 365, "decimal", 366, id="[(1,365)]"),
+            pytest.param(
+                list(coincidence.partition_classes(PackSpec(6, 4))), 4**6, "decimal", 85,
+                id="(6,4)",
+            ),
+        ],
+    )
+    def test_decimal_survivals_lie_within_their_bounds(self, classes, denominator, mode, steps):
+        spectrum = EndpointSpectrum(classes, denominator, mode)
+        assert spectrum.mode == "decimal"
+        for m, value in enumerate(class_order_survivals(classes, steps)):
+            # |survival - value / D**m| <= bound, compared in integers.
+            num, den = spectrum.survival(m).as_integer_ratio()
+            bound_num, bound_den = spectrum.survival_error(m).as_integer_ratio()
+            scale = denominator**m
+            assert abs(num * scale - value * den) * bound_den <= bound_num * scale * den, m
+        assert spectrum.split_index is not None
+
+
 class TestPrecisionAlarm:
     def test_trips_at_low_precision(self):
         spectrum = forced_spectrum(PackSpec(8, 3), "decimal", 6)
@@ -861,6 +935,12 @@ class TestPackSizeDistribution:
     def test_from_file(self, tmp_path):
         path = tmp_path / "sizes.txt"
         path.write_text("1 1/3\n2 2/3\n", encoding="utf-8")
+        dist = PackSizeDistribution.from_file(path)
+        assert dict(dist.weights) == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+
+    def test_from_file_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "sizes.txt"
+        path.write_text("1 1/3\n2 2/3\n", encoding="utf-8-sig")  # writes a BOM first
         dist = PackSizeDistribution.from_file(path)
         assert dict(dist.weights) == {1: Fraction(1, 3), 2: Fraction(2, 3)}
 
