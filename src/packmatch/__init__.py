@@ -14,7 +14,7 @@ import sys
 
 from . import coincidence, exactmath
 
-__version__ = "0.8.4"
+__version__ = "0.8.5"
 
 # Each exported name and the module that defines it. __getattr__ below serves
 # every name from its module on first access: coincidence and exactmath are

@@ -9,11 +9,12 @@ match exactly when their endpoints coincide.
 The ordered sample space for a pack pair has ``d ** (2 n)`` elements. This
 module counts the matching pairs by three algorithmically independent routes
 and divides exactly: the closed-form sum of squared multinomials, taken one
-partition class of endpoints at a time with Pascal-row weights; a recursion
-over colors, built column by column for at most n + 1 colors and carried to d
-by forward differences; and the generating-function coefficient, reached
-through the differential equation of the walk's generating function one
-coefficient at a time. No route calls another, so their agreement is a check.
+partition class of endpoints at a time with binomial weights, each stepped
+from the last by exact division; a recursion over colors, built column by
+column for at most n + 1 colors and carried to d by forward differences; and
+the generating-function coefficient, reached through the differential
+equation of the walk's generating function one coefficient at a time. No
+route calls another, so their agreement is a check.
 """
 
 from __future__ import annotations
@@ -169,23 +170,6 @@ def count_recursive(spec: PackSpec) -> int:
     return count
 
 
-def _pascal_rows(n: int, d: int) -> list[list[int] | None]:
-    """Pascal rows the class walk reads; row m, when kept, lists C(m, k).
-
-    The first part reads row n; deeper parts read rows up to n - ceil(n/d),
-    and the last of the d parts is forced (C(m, m) = 1), so for d <= 2 only
-    row n is kept. Rows are built by addition only, one from the previous.
-    """
-    keep = n - -(-n // d) if d > 2 else -1
-    rows: list[list[int] | None] = [None] * (n + 1)
-    row = [1]
-    for m in range(n + 1):
-        if m <= keep or m == n:
-            rows[m] = row
-        row = [1, *map(operator.add, row, row[1:]), 1]
-    return rows
-
-
 def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
     """Yield (weight, size) for each partition class of endpoints.
 
@@ -199,19 +183,21 @@ def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
     distinct classes may share a weight.
 
     The walk places parts in non-increasing order from an explicit stack, so
-    its depth is not bounded by ``d``. Each entry carries the weight so far
-    (a product of Pascal-row entries C(remaining, part)) and the arrangement
-    count so far, updated as arr * (d - placed) // run, which stays an
-    integer because it is the multinomial coefficient of the placed runs and
-    the free slots. A part is at least the remaining items divided by the
-    free slots, so every branch ends in a class.
+    its depth is not bounded by ``d``, and it holds nothing but that stack.
+    Each entry carries the weight so far (a product of binomials
+    C(remaining, part)) and the arrangement count so far, updated as
+    arr * (d - placed) // run, which stays an integer because it is the
+    multinomial coefficient of the placed runs and the free slots. A node
+    computes C(remaining, top) once for its largest part and steps down to
+    each smaller part by the exact division C(r, p - 1) = C(r, p) * p /
+    (r - p + 1). A part is at least the remaining items divided by the free
+    slots, so every branch ends in a class.
     """
     n, d = spec.n, spec.d
     if n == 0 or d == 1:
         # One class: all zeros, or every item in the single color.
         yield 1, 1
         return
-    rows = _pascal_rows(n, d)
     # (items remaining, previous part, parts placed, run of the previous
     # part, weight, arrangements)
     stack = [(n, n, 0, 0, 1, 1)]
@@ -226,8 +212,9 @@ def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
             sizes += size
             yield weight, size
             continue
-        row = rows[remaining]
-        for part in range(min(previous, remaining), -(-remaining // free) - 1, -1):
+        top = min(previous, remaining)
+        choose = binomial(remaining, top)
+        for part in range(top, -(-remaining // free) - 1, -1):
             grown = run + 1 if part == previous else 1
             if part == remaining:
                 size = arr * free // grown
@@ -236,8 +223,10 @@ def partition_classes(spec: PackSpec) -> Iterator[tuple[int, int]]:
             else:
                 stack.append(
                     (remaining - part, part, placed + 1, grown,
-                     weight * row[part], arr * free // grown)
+                     weight * choose, arr * free // grown)
                 )
+            # Step to C(remaining, part - 1); the division is exact.
+            choose = choose * part // (remaining - part + 1)
     count = distinct_pack_count(spec)
     if sizes != count:
         raise AssertionError(f"partition classes of {spec} hold {sizes} endpoints, not {count}")

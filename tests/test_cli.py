@@ -126,8 +126,13 @@ _CORPUS_COMMANDS = [
     "simulate firstmatch --n 8 --d 3 --trials 2000 --seed 9",
 ]
 # (139, 3), the largest rational-mode shape at d = 3, takes over a second a
-# run, so it is pinned in json alone, which holds every digit.
-_CORPUS_JSON_ONLY = ["expect --n 139 --d 3 --model exact"]
+# run, so it is pinned in json alone, which holds every digit, as are the
+# closed route's long class walks at d = 2 and d = 3.
+_CORPUS_JSON_ONLY = [
+    "expect --n 139 --d 3 --model exact",
+    "prob --n 4400 --d 2 --route closed",
+    "prob --n 1000 --d 3 --route closed",
+]
 
 
 def corpus_commands() -> list[str]:

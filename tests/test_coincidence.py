@@ -5,7 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import pickle
+import resource
+import subprocess
+import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -27,6 +31,7 @@ from packmatch.coincidence import (
 )
 from packmatch.exactmath import binomial, decimal_string, multinomial
 from packmatch.firstmatch import endpoint_spectrum
+from test_cli import child_env
 
 # 5x5 golden grid of matching-pair counts, rows n=1..5, columns d=1..5.
 COUNT_GRID = [
@@ -322,9 +327,41 @@ class TestPartitionClasses:
     def test_match_sorted_compositions(self):
         shapes = [(n, d) for n in range(9) for d in range(1, 7)]
         shapes += [(0, d) for d in (7, 12, 40)] + [(n, 1) for n in (9, 20, 50)]
+        # Long part loops, where each binomial is stepped from the last.
+        shapes += [(40, 2), (101, 2), (30, 3), (16, 4)]
         for n, d in shapes:
             spec = PackSpec(n, d)
             assert sorted(partition_classes(spec)) == self.expected_classes(spec), spec
+
+    def test_two_colors_walk_in_linear_steps(self):
+        # One node with n / 2 parts, each binomial stepped from the last.
+        # Building Pascal rows by addition up to row n would cost about n**3
+        # bit operations, minutes at this shape. The child's address space is
+        # capped at 1 GiB and its time at 10 s.
+        def cap_address_space() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        code = (
+            "from packmatch.coincidence import PackSpec, partition_classes\n"
+            "print(sum(size for _, size in partition_classes(PackSpec(20000, 2))))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True,
+            env=child_env(), timeout=10, preexec_fn=cap_address_space,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == b"20001\n"
+
+    def test_closed_route_holds_only_its_stack(self):
+        # The walk's stack holds a few hundred entries at (600, 3); kept
+        # Pascal rows would hold about n**2 / 2 big integers, 5 MiB here.
+        tracemalloc.start()
+        try:
+            count_closed(PackSpec(600, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_lost_endpoints_fail_every_consumer(self, monkeypatch):
         # A walk whose class sizes miss the endpoint count, simulated by an
@@ -355,13 +392,14 @@ class TestCoincidenceTable:
 
     def test_squares_come_from_pascal_rows_built_by_addition(self, monkeypatch):
         # One binomial per (n, k) cost almost all of the d = 2 grid; the work
-        # is checked, not the wall time. The closed route's Pascal rows are not
-        # shared, so the routes stay independent. count(n, 2) = C(2n, n).
+        # is checked, not the wall time. `binomial` is also where the closed
+        # route's class walk gets its binomials, so refusing it shows that the
+        # recursion builds its own rows and shares none with the closed route,
+        # which keeps the routes independent. count(n, 2) = C(2n, n).
         def refuse(*_args):
             raise RuntimeError("recursive_columns computed a binomial on its own")
 
         monkeypatch.setattr(coincidence, "binomial", refuse)
-        monkeypatch.setattr(coincidence, "_pascal_rows", refuse)
         column = list(recursive_columns(300, 2))[-1]
         assert column == [math.comb(2 * n, n) for n in range(301)]
 
