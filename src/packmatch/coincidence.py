@@ -37,13 +37,16 @@ class PackSpec(NamedTuple("PackSpec", [("n", int), ("d", int)])):
     A named tuple ``(n, d)``: immutable, compared and hashed by value.
 
     Raises:
-        ValueError: if ``n`` is negative or at least ``sys.maxsize``, too
-            large to index, or ``d`` is not positive.
+        ValueError: if ``n`` or ``d`` is not an ``int``, ``n`` is negative or
+            at least ``sys.maxsize``, too large to index, or ``d`` is not
+            positive.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int) -> PackSpec:
+        if not (type(n) is type(d) is int):
+            raise ValueError(f"pack size and color count must be integers, got n={n!r}, d={d!r}")
         if n < 0:
             raise ValueError(f"pack size must be non-negative, got n={n}")
         if n >= sys.maxsize:

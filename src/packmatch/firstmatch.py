@@ -83,11 +83,14 @@ def pairwise_pmf(p: Fraction, length: int) -> Fraction:
         (1 - p)^C(length - 1, 2) * (length - 1) * p exactly; 0 for length 1.
 
     Raises:
-        ValueError: if ``p`` is outside [0, 1] or ``length < 1``.
+        ValueError: if ``p`` is outside [0, 1], or ``length`` is not an
+            ``int`` or is below 1.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"pair match probability must lie in [0, 1], got {p}")
+    if type(length) is not int:
+        raise ValueError(f"pack index must be an integer, got {length!r}")
     if length < 1:
         raise ValueError(f"pack index must be at least 1, got {length}")
     if length == 1:
@@ -245,10 +248,11 @@ class EndpointSpectrum:
 
     A (weight, multiplicity) pair holds ``multiplicity`` endpoints of
     probability ``weight / denominator``; equal weights merge, and classes
-    sort by descending weight. ValueError refuses an entry that is not two
-    positive integers, a sum of m * w other than the denominator, and more
-    endpoints than ``ENDPOINT_CEILING``, the most the pruning slack below is
-    proved for. Grows the power sums S_j, the signed elementary values
+    sort by descending weight. ValueError refuses a denominator that is not
+    an integer, an entry that is not two positive integers, a sum of m * w
+    other than the denominator, and more endpoints than
+    ``ENDPOINT_CEILING``, the most the pruning slack below is proved for.
+    Grows the power sums S_j, the signed elementary values
     (-1)**k * e_k and the survivals P[X > m] = m! * e_m up to the index
     :meth:`power_sum`, :meth:`survival` or :meth:`survival_error` asks for,
     in any order. :func:`endpoint_spectrum` builds one for a pack shape.
@@ -258,8 +262,8 @@ class EndpointSpectrum:
     ``"decimal"`` otherwise. ``precision``, at least 4, sets decimal mode's
     significant digits (default ``DEFAULT_PRECISION``, 128); it is refused
     with an explicit ``"rational"`` and ignored where the default picks
-    rational. The mode and precision are checked before the classes are
-    read.
+    rational. The mode, precision and denominator type are checked before
+    the classes are read.
 
     Both modes run Newton's identities on signed values: with
     E_k = (-1)**k * e_k, each step is k * E_k = -sum_i E_{k-i} * S_i over the
@@ -357,6 +361,8 @@ class EndpointSpectrum:
     ) -> None:
         if mode not in (None, "rational", "decimal"):
             raise ValueError(f"unknown spectrum mode: {mode!r}")
+        if type(denominator) is not int:
+            raise ValueError(f"denominator must be an integer, got {denominator!r}")
         if precision is not None:
             if mode == "rational":
                 raise ValueError("precision applies to decimal mode only")

@@ -5,9 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import pickle
-import resource
-import subprocess
-import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -31,7 +28,7 @@ from packmatch.coincidence import (
 )
 from packmatch.exactmath import binomial, decimal_string, multinomial
 from packmatch.firstmatch import endpoint_spectrum
-from test_cli import child_env
+from test_cli import run_capped
 
 # 5x5 golden grid of matching-pair counts, rows n=1..5, columns d=1..5.
 COUNT_GRID = [
@@ -60,6 +57,9 @@ class TestPackSpec:
             PackSpec(-1, 2)
         with pytest.raises(ValueError):
             PackSpec(3, 0)
+        for n, d in [(2.5, 3), (3, 2.0), (3.0, 2), ("3", 2), (3, Fraction(2))]:
+            with pytest.raises(ValueError, match="must be integers"):
+                PackSpec(n, d)
 
     def test_frozen_and_hashable(self):
         spec = PackSpec(2, 3)
@@ -338,17 +338,11 @@ class TestPartitionClasses:
         # Building Pascal rows by addition up to row n would cost about n**3
         # bit operations, minutes at this shape. The child's address space is
         # capped at 1 GiB and its time at 10 s.
-        def cap_address_space() -> None:
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
         code = (
             "from packmatch.coincidence import PackSpec, partition_classes\n"
             "print(sum(size for _, size in partition_classes(PackSpec(20000, 2))))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True,
-            env=child_env(), timeout=10, preexec_fn=cap_address_space,
-        )
+        result = run_capped("-c", code, timeout=10)
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == b"20001\n"
 

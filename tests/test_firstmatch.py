@@ -178,6 +178,9 @@ class TestPairwisePmf:
             pairwise_pmf(Fraction(-1, 2), 2)
         with pytest.raises(ValueError):
             pairwise_pmf(Fraction(1, 2), 0)
+        for length in (3.0, 2.5, Fraction(3)):
+            with pytest.raises(ValueError, match="pack index must be an integer"):
+                pairwise_pmf(Fraction(1, 3), length)
 
     def test_total_mass_can_exceed_one(self):
         # Permanent witness that this model is not a true pmf: at p = 1/3 the
@@ -647,6 +650,7 @@ class TestClassLists:
             ([(Fraction(1, 2), 2)], 1, "is not two positive integers"),
             ([(True, True)], 1, r"class \(True, True\) is not two positive integers"),
             ([(1, ENDPOINT_CEILING + 1)], ENDPOINT_CEILING + 1, "above the ceiling"),
+            ([(1, 2)], 2.0, "denominator must be an integer, got 2.0"),
         ]:
             with pytest.raises(ValueError, match=message):
                 EndpointSpectrum(classes, denominator, mode, precision)
